@@ -32,9 +32,12 @@ from .conventions import (
 from .models import (
     EMState,
     EvaluationDomainError,
+    GasModel,
     GasState,
     LagrangianModel,
     LuminalStateError,
+    MaxwellModel,
+    RelativisticModel,
     RelativisticState,
     SingularGradientError,
     ad_gradient,
@@ -42,15 +45,13 @@ from .models import (
     finite_difference_gradient,
     list_models,
     model_from_expression,
-    model_gas_dynamics,
     model_isotropic_p1,
-    model_maxwell,
     model_quadratic,
-    model_relativistic,
     model_relativistic_limit,
     model_relativistic_powerlaw,
     polytropic_energy,
     state_to_form,
+    typed_state,
 )
 from .tensors import (
     TensorValue,

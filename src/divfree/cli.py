@@ -10,6 +10,7 @@ verification fails its expectation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .conventions import euclidean_metric, minkowski_metric
+from .exterior import PFormValue
 from .fields import (
     closedness_residual,
     div_T_residual,
@@ -154,22 +156,23 @@ def _metric_for(args, d):
 
 
 def _parse_state(model, text):
+    """A state from JSON: {"coeffs": [..]} for any model, or the fields of
+    the model's own state class (rho/q, m or E/B); "s" is optional."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("state must be a JSON object")
-    s = float(data.get("s", 0.0))
-    if "rho" in data:
-        return GasState(float(data["rho"]), np.asarray(data["q"], dtype=float), s)
-    if "E" in data:
-        return EMState(np.asarray(data["E"], dtype=float),
-                       np.asarray(data["B"], dtype=float), s)
-    if "m" in data:
-        return RelativisticState(np.asarray(data["m"], dtype=float), s)
+    s = float(data.pop("s", 0.0))
     if "coeffs" in data:
-        from .exterior import PFormValue
         return PFormValue(model.d, model.p,
                           np.asarray(data["coeffs"], dtype=float), entropy=s)
-    raise ValueError("state needs one of: rho/q, E/B, m, coeffs")
+    kind = model.state_type
+    keys = [] if kind is None else [f.name for f in dataclasses.fields(kind)
+                                    if f.name != "s"]
+    if not keys or set(data) != set(keys):
+        options = ["/".join(keys), "coeffs"] if keys else ["coeffs"]
+        raise ValueError(f"{model.name} takes a state with the keys "
+                         f"{' or '.join(options)} (and optionally s)")
+    return kind(**data, s=s)
 
 
 def _emit(args, report):
@@ -421,7 +424,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "need_model", False) and not args.model:
+    if args.need_model and not args.model:
         if args.command == "jump":
             args.model = "relativistic-limit"
         else:

@@ -37,7 +37,9 @@ coefficient-space gradient is
 
 Energy flux sign.  With W = E . D - L the time row of the tensor reads
 T_00 = -W and T_{0j} = (H x E)_j, so row 0 of Div T equals the negative of
-the Poynting residual d/dt W + div(E x H).  Tests assert the exact negation.
+the Poynting residual d/dt W + div(E x H) up to rounding: the assembly sums
+the products in another order than the cross product does.  The two agree
+bitwise on waves with E_z = 0, such as the catalog plane wave.
 
 Pullback direction.  Coefficients transform by B_J = sum_I A_I minor(M, I, J),
 giving (M1 @ M2)^* = M2^* o M1^*; the infinitesimal action is its exact

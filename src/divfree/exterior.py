@@ -25,9 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-MultiIndex = tuple
-
-
 def canonicalize(raw, d=None):
     """Sort an index tuple and report the sign of the sorting permutation.
 
@@ -142,10 +139,6 @@ class PFormValue:
 
     def with_coeffs(self, coeffs):
         return PFormValue(self.d, self.p, coeffs, self.entropy)
-
-    @classmethod
-    def zero(cls, d, p, entropy=None):
-        return cls(d, p, np.zeros(math.comb(d, p)), entropy)
 
     @classmethod
     def from_dict(cls, d, p, mapping, entropy=None):

@@ -21,7 +21,7 @@ from .exterior import (
     form_basis,
     pullback_coeffs,
 )
-from .models import state_to_form
+from .models import RelativisticModel, state_to_form
 from .tensors import general_tensor_array
 
 
@@ -43,8 +43,7 @@ class GridField:
     """Degree-p coefficients sampled on a uniform node grid.
 
     ``values`` has shape dims + (C(d, p),); ``entropy`` is an optional extra
-    channel of shape dims.  ``func`` optionally remembers the analytic field
-    the grid was sampled from (used by refinement studies, never required).
+    channel of shape dims.
     """
 
     d: int
@@ -54,7 +53,6 @@ class GridField:
     origin: tuple
     values: np.ndarray
     entropy: np.ndarray | None = None
-    func: object = None
 
     def __post_init__(self):
         self.dims = tuple(int(n) for n in self.dims)
@@ -93,7 +91,12 @@ class GridField:
         Y = probe.coordinates()
         values = np.asarray(fn(Y), dtype=float)
         entropy = None if entropy_fn is None else np.asarray(entropy_fn(Y), dtype=float)
-        return cls(d, p, tuple(dims), tuple(spacing), origin, values, entropy, func=fn)
+        return cls(d, p, tuple(dims), tuple(spacing), origin, values, entropy)
+
+
+def _component_names(d, p):
+    """Digit strings of the canonical index tuples, in storage order."""
+    return ["".join(str(i) for i in J) for J in form_basis(d, p).tuples]
 
 
 def save_grid(grid, path):
@@ -114,8 +117,7 @@ def save_grid(grid, path):
         "dims": list(grid.dims),
         "spacing": list(grid.spacing),
         "origin": list(grid.origin),
-        "component_order": ["".join(str(i) for i in J)
-                            for J in form_basis(grid.d, grid.p).tuples],
+        "component_order": _component_names(grid.d, grid.p),
         "has_entropy": grid.entropy is not None,
         "data": data_name,
     }
@@ -129,7 +131,11 @@ def load_grid(path):
     manifest = json.loads(path.read_text())
     d, p = manifest["d"], manifest["p"]
     dims = tuple(manifest["dims"])
-    C = form_basis(d, p).size
+    order, given = _component_names(d, p), manifest.get("component_order")
+    if given != order:
+        raise ValueError(f"component_order {given} is not the canonical order "
+                         f"{order} for (d={d}, p={p})")
+    C = len(order)
     n_comp = C + (1 if manifest["has_entropy"] else 0)
     raw = np.frombuffer((path.parent / manifest["data"]).read_bytes(), dtype="<f8")
     expected = int(np.prod(dims)) * n_comp
@@ -147,14 +153,18 @@ def load_grid_csv(path, d, p, spacing, origin=None):
     path = Path(path)
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     header = [h.strip() for h in lines[0].split(",")]
-    basis = form_basis(d, p)
     coord_cols = [header.index(f"i{a}") for a in range(d)]
-    comp_cols = [header.index("A_" + "".join(str(i) for i in J)) for J in basis.tuples]
+    comp_cols = [header.index("A_" + name) for name in _component_names(d, p)]
     s_col = header.index("s") if "s" in header else None
     rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
     idx = np.array([[int(r[c]) for c in coord_cols] for r in rows])
-    dims = tuple(idx.max(axis=0) + 1)
-    values = np.zeros(dims + (basis.size,))
+    dims = tuple(int(n) for n in idx.max(axis=0) + 1)
+    counts = np.bincount(np.ravel_multi_index(idx.T, dims), minlength=math.prod(dims))
+    for what, bad in (("duplicate", counts > 1), ("missing", counts == 0)):
+        if bad.any():
+            cell = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), dims))
+            raise ValueError(f"{what} cell {cell} in {path.name}")
+    values = np.zeros(dims + (len(comp_cols),))
     entropy = np.zeros(dims) if s_col is not None else None
     for r, ij in zip(rows, idx):
         values[tuple(ij)] = [r[c] for c in comp_cols]
@@ -258,7 +268,9 @@ def mass_conservation_residual(grid):
 
 def poynting_residual(model, grid):
     """Interior-node field of d/dt W + div(E x H) for an electromagnetic
-    grid; row 0 of Div T equals its negation identically."""
+    grid.  Row 0 of Div T is its negation up to rounding: the same stencils
+    act on the same products summed in another order.  The two agree bitwise
+    on waves with E_z = 0, such as the catalog plane wave."""
     _require_interior(grid)
     E, B = coeffs_to_em(grid.values)
     s = grid.entropy if grid.entropy is not None else 0.0
@@ -301,17 +313,16 @@ def _multilinear_interp(values, origin, spacing, dims, Y):
 class VariationField:
     """A compactly supported velocity field for flow variations.
 
-    Values must vanish on a margin of at least two nodes at every boundary;
-    the optional analytic callables are used by the flow integrator when
-    present, otherwise multilinear interpolation of the samples fills in.
+    Values must vanish on a margin of at least two nodes at every boundary.
+    The flow integrator reads the field and its Jacobian from ``func_jac``
+    when present; otherwise it interpolates the samples and their
+    difference Jacobian multilinearly.
     """
 
     dims: tuple
     spacing: tuple
     origin: tuple
     values: np.ndarray
-    func: object = None
-    jac: object = None
     func_jac: object = None
     margin: int = 2
 
@@ -330,55 +341,29 @@ class VariationField:
                 if np.any(self.values[tuple(sl)] != 0.0):
                     raise ValueError(
                         f"variation must vanish on a {self.margin}-node margin")
-        if self.jac is None and self.func is None:
-            self._grid_jac = self._finite_jacobian()
-
-    def _finite_jacobian(self):
-        d = len(self.dims)
-        J = np.zeros(self.dims + (d, d))
-        for i in range(d):
-            for j in range(d):
-                J[..., i, j] = np.gradient(self.values[..., i],
-                                           self.spacing[j], axis=j)
-        return J
-
-    def evaluate(self, Y):
-        if self.func is not None:
-            return np.asarray(self.func(Y), dtype=float)
-        return _multilinear_interp(self.values, self.origin, self.spacing,
-                                   self.dims, Y)
-
-    def jacobian(self, Y):
-        if self.jac is not None:
-            return np.asarray(self.jac(Y), dtype=float)
-        if self.func is not None:
-            # central differences of the analytic field
-            d = len(self.dims)
-            h = 1e-6
-            cols = []
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                cols.append((self.func(Y + e) - self.func(Y - e)) / (2 * h))
-            return np.stack(cols, axis=-1)
-        return _multilinear_interp(self._grid_jac, self.origin, self.spacing,
-                                   self.dims, Y)
+        if self.func_jac is None:
+            self._grid_jac = np.zeros(self.dims + (d, d))
+            for i in range(d):
+                for j in range(d):
+                    self._grid_jac[..., i, j] = np.gradient(
+                        self.values[..., i], self.spacing[j], axis=j)
 
     def value_and_jacobian(self, Y):
         if self.func_jac is not None:
             v, J = self.func_jac(Y)
             return np.asarray(v, dtype=float), np.asarray(J, dtype=float)
-        return self.evaluate(Y), self.jacobian(Y)
+        return tuple(_multilinear_interp(arr, self.origin, self.spacing, self.dims, Y)
+                     for arr in (self.values, self._grid_jac))
 
     @classmethod
-    def from_function(cls, func, dims, spacing, origin=None, jac=None,
-                     func_jac=None):
+    def from_function(cls, func, dims, spacing, origin=None, func_jac=None):
+        """Samples of ``func`` on the grid; ``func_jac(Y) -> (value, Jacobian)``
+        is the analytic pair the flow integrator uses."""
         origin = tuple(origin) if origin is not None else (0.0,) * len(dims)
         axes = [origin[a] + spacing[a] * np.arange(dims[a]) for a in range(len(dims))]
         Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         return cls(tuple(dims), tuple(spacing), origin,
-                   np.asarray(func(Y), dtype=float), func=func, jac=jac,
-                   func_jac=func_jac)
+                   np.asarray(func(Y), dtype=float), func_jac=func_jac)
 
 
 def _flow_with_jacobian(var, Y, tau, substeps):
@@ -535,8 +520,9 @@ def rankine_hugoniot(model, interface):
     """Jump report across a plane interface with unit normal nu.
 
     ``row_residuals`` holds |[T] nu| componentwise; for momentum-form models
-    the report also carries [m . nu] and [rho], and for metric-carrying
-    models the quadratic nu^T metric^{-1} nu that classifies the interface.
+    the report also carries [m . nu], for relativistic models [rho], and for
+    metric-carrying models the quadratic nu^T metric^{-1} nu that classifies
+    the interface.
     """
     nu = interface.nu
     forms = [state_to_form(model, st) for st in (interface.left, interface.right)]
@@ -550,7 +536,7 @@ def rankine_hugoniot(model, interface):
         report["m_nu_jump"] = float((m[1] - m[0]) @ nu)
         report["m_left"] = m[0]
         report["m_right"] = m[1]
-        if hasattr(model, "rho_of"):
+        if isinstance(model, RelativisticModel):
             report["rho_jump"] = float(model.rho_of(m[1]) - model.rho_of(m[0]))
     if model.metric_hint is not None:
         Sinv = np.linalg.inv(model.metric_hint)
@@ -582,7 +568,7 @@ def _family_residual(model, nu, m_left, rho_jump_min, lam_grid):
     for w in dirs:
         wn = w / np.linalg.norm(w)
         m_R = m_left[None, :] + lam_grid[:, None] * wn[None, :]
-        r2 = (model.c ** 2) * m_R[:, 0] ** 2 - np.einsum("ij,ij->i", m_R[:, 1:], m_R[:, 1:])
+        r2 = model.rho_sq(m_R)
         ok = r2 > 1e-10
         if not ok.any():
             continue
@@ -613,6 +599,9 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05,
     sections the bracket.  Returns the winning angle, normal, residual and
     the light-cone quadratic nu^T Lam^{-1} nu at the winner.
     """
+    if not isinstance(model, RelativisticModel):
+        raise ValueError(f"the light-like normal search needs a relativistic "
+                         f"model, not {model.name}")
     if lam_grid is None:
         lam_grid = np.concatenate([-np.geomspace(1e-2, 1.0, 24)[::-1],
                                    np.geomspace(1e-2, 1.0, 24)])

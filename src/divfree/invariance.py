@@ -93,15 +93,18 @@ def _unit(d, k):
     return e
 
 
+def _states(model, n_states, seed, states):
+    """The given (A, s) batch, or n_states drawn from the model at seed."""
+    if states is None:
+        return model.sample_states(np.random.default_rng(seed), n_states)
+    return states
+
+
 def invariance_defect(model, S, n_states=128, seed=0, states=None):
     """Max over generators and sampled states of the normalized pairing
     |<dL/dA, infinitesimal pullback>| / (|dL/dA| |A|)."""
     basis = lie_basis(S)
-    if states is None:
-        rng = np.random.default_rng(seed)
-        A, s = model.sample_states(rng, n_states)
-    else:
-        A, s = states
+    A, s = _states(model, n_states, seed, states)
     G = model.gradient(A, s)
     norm = (np.linalg.norm(G, axis=-1) * np.linalg.norm(A, axis=-1)) + 1e-300
     worst = 0.0
@@ -115,11 +118,7 @@ def invariance_defect(model, S, n_states=128, seed=0, states=None):
 def symmetry_defect_max(model, S, n_states=128, seed=0, states=None):
     """Max asymmetry of S^{-1} T over sampled states."""
     check_metric(S)
-    if states is None:
-        rng = np.random.default_rng(seed)
-        A, s = model.sample_states(rng, n_states)
-    else:
-        A, s = states
+    A, s = _states(model, n_states, seed, states)
     T = general_tensor_array(model, A, s)
     return float(np.max(symmetry_defect(T, S)))
 
@@ -132,11 +131,7 @@ def trace_identity_residual(model, S, n_states=128, seed=0, states=None):
     """
     S = check_metric(S)
     d = S.shape[0]
-    if states is None:
-        rng = np.random.default_rng(seed)
-        A_states, s = model.sample_states(rng, n_states)
-    else:
-        A_states, s = states
+    A_states, s = _states(model, n_states, seed, states)
     L = np.asarray(model.evaluate(A_states, s), dtype=float)
     T = general_tensor_array(model, A_states, s)
     X = L[..., None, None] * np.eye(d) - np.swapaxes(T, -1, -2)
@@ -159,9 +154,7 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
     ``agreement`` records whether the two sides landed on the same side.
     """
     S = check_metric(S)
-    rng = np.random.default_rng(seed)
-    A, s = model.sample_states(rng, n_states)
-    states = (A, s)
+    states = model.sample_states(np.random.default_rng(seed), n_states)
     inv = invariance_defect(model, S, states=states)
     sym = symmetry_defect_max(model, S, states=states)
     trace = trace_identity_residual(model, S, states=states)
@@ -183,7 +176,7 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
         "verdict": verdict,
         "agreement": bool(agreement),
         "seed": seed,
-        "n_states": int(np.shape(A)[0]),
+        "n_states": int(np.shape(states[0])[0]),
     }
 
 

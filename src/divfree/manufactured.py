@@ -358,31 +358,23 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
     def value_from(prod, mods):
         return np.stack([prod * mods[i] for i in range(d)], axis=-1)
 
-    def jac_from(Y, bump_ax, prod, mods, dmods):
-        out = np.empty(Y.shape[:-1] + (d, d))
+    def func(Y):
+        _, prod, mods, _ = pieces(Y, with_deriv=False)
+        return value_from(prod, mods)
+
+    def func_jac(Y):
+        bump_ax, prod, mods, dmods = pieces(Y, with_deriv=True)
+        jac = np.empty(Y.shape[:-1] + (d, d))
         for j in range(d):
             prod_dj = _bump_profile_deriv(Y[..., j], a, b)
             for ax in range(d):
                 if ax != j:
                     prod_dj = prod_dj * bump_ax[ax]
             for i in range(d):
-                out[..., i, j] = prod_dj * mods[i] + prod * dmods[i] * ks[i, j]
-        return out
+                jac[..., i, j] = prod_dj * mods[i] + prod * dmods[i] * ks[i, j]
+        return value_from(prod, mods), jac
 
-    def func(Y):
-        _, prod, mods, _ = pieces(Y, with_deriv=False)
-        return value_from(prod, mods)
-
-    def jac(Y):
-        bump_ax, prod, mods, dmods = pieces(Y, with_deriv=True)
-        return jac_from(Y, bump_ax, prod, mods, dmods)
-
-    def func_jac(Y):
-        bump_ax, prod, mods, dmods = pieces(Y, with_deriv=True)
-        return value_from(prod, mods), jac_from(Y, bump_ax, prod, mods, dmods)
-
-    return VariationField.from_function(func, dims, spacing, jac=jac,
-                                        func_jac=func_jac)
+    return VariationField.from_function(func, dims, spacing, func_jac=func_jac)
 
 
 def study_model(d, p, seed):

@@ -53,7 +53,14 @@ class LagrangianModel:
     ``fn(comps, s)`` receives the coefficients as a list (floats, arrays or
     duals) and must return a matching scalar payload.  When no closed-form
     gradient is supplied, forward-mode duals provide one.
+
+    The class is the model's family: ``GasModel``, ``RelativisticModel`` and
+    ``MaxwellModel`` carry their physical helpers and name the state class
+    of their block forms in ``state_type``; a plain ``LagrangianModel`` is
+    generic and takes coefficient states only.
     """
+
+    state_type = None
 
     def __init__(self, name, d, p, fn, grad_fn=None, metric_hint=None,
                  sampler=None, params=None, validator=None):
@@ -99,21 +106,6 @@ class LagrangianModel:
             return self._grad_fn(A, s)
         return _ad_gradient_core(self._fn, self.n_coeffs, A, s)
 
-    def gradient_component(self, A, s, raw):
-        """Gradient read through an arbitrarily ordered index tuple,
-        following the same sign rule as the coefficients themselves."""
-        k, sign = self.basis.slot(tuple(raw))
-        if sign == 0:
-            return 0.0
-        g = self.gradient(A, s)
-        return sign * g[..., k]
-
-    def entropy_derivative(self, A, s=0.0):
-        A, s = self._coerce(A, s)
-        comps = [A[..., k] for k in range(self.n_coeffs)]
-        r = self._fn(comps, Dual(np.asarray(s, dtype=float) + 0.0, 1.0))
-        return derivative(r, like=value(r))
-
     def sample_states(self, rng, n):
         """Batch of admissible states (A, s) with shapes (n, C) and (n,)."""
         if self._sampler is not None:
@@ -123,7 +115,7 @@ class LagrangianModel:
         return A, s
 
     def __repr__(self):
-        return f"<LagrangianModel {self.name} d={self.d} p={self.p}>"
+        return f"<{type(self).__name__} {self.name} d={self.d} p={self.p}>"
 
 
 def _ad_gradient_core(fn, n_coeffs, A, s):
@@ -174,6 +166,7 @@ class GasState:
     s: float = 0.0
 
     def __post_init__(self):
+        self.rho = float(self.rho)
         self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
         if self.rho <= 0:
             raise ValueError("mass density must be positive")
@@ -181,6 +174,11 @@ class GasState:
     @property
     def m(self):
         return np.concatenate([[self.rho], self.q])
+
+    @classmethod
+    def from_coeffs(cls, a, s=0.0):
+        m = coeffs_to_momentum(a)
+        return cls(m[0], m[1:], s)
 
 
 @dataclass
@@ -192,6 +190,10 @@ class RelativisticState:
         self.m = np.asarray(self.m, dtype=float)
         if self.m.shape != (4,):
             raise ValueError("relativistic momentum must be a 4-vector")
+
+    @classmethod
+    def from_coeffs(cls, a, s=0.0):
+        return cls(coeffs_to_momentum(a), s)
 
 
 @dataclass
@@ -206,19 +208,29 @@ class EMState:
         if self.E.shape != (3,) or self.B.shape != (3,):
             raise ValueError("E and B must be 3-vectors")
 
+    @classmethod
+    def from_coeffs(cls, a, s=0.0):
+        return cls(*coeffs_to_em(a), s)
+
 
 def state_to_form(model, state):
     """PFormValue for a physical state, through the frozen identifications."""
     if isinstance(state, PFormValue):
         return state
-    if isinstance(state, GasState):
-        return PFormValue(model.d, model.p, momentum_to_coeffs(state.m), state.s)
-    if isinstance(state, RelativisticState):
+    if isinstance(state, (GasState, RelativisticState)):
         return PFormValue(model.d, model.p, momentum_to_coeffs(state.m), state.s)
     if isinstance(state, EMState):
         return PFormValue(model.d, model.p, em_to_coeffs(state.E, state.B), state.s)
     arr = np.asarray(state, dtype=float)
     return PFormValue(model.d, model.p, arr)
+
+
+def typed_state(model, a, s=0.0):
+    """The inverse of state_to_form: one coefficient row as a state of the
+    model's family, or as a PFormValue for a generic model."""
+    if model.state_type is None:
+        return PFormValue(model.d, model.p, a, float(s))
+    return model.state_type.from_coeffs(np.asarray(a, dtype=float), float(s))
 
 
 # ---------------------------------------------------------------------------
@@ -303,156 +315,146 @@ def polytropic_energy(gamma=2.0, mu=0.0):
         scale = dualnum.exp(mu * s) if mu != 0.0 else 1.0
         return scale * rho ** gamma / gamma
 
-    g.gamma = gamma
-    g.mu = mu
     return g
 
 
-def model_gas_dynamics(n=1, internal_energy=None, name="gas", params=None):
-    """L = |q|^2 / (2 rho) - g(rho, s) on momentum forms m = (rho, q).
+class GasModel(LagrangianModel):
+    """L = |q|^2 / (2 rho) - g(rho, s) on momentum forms m = (rho, q), d = n + 1.
 
     The kinetic part is homogeneous of degree one in m, so the scalar in the
     closed n-form tensor collapses to the pressure rho g_rho - g.
     """
-    g = internal_energy if internal_energy is not None else polytropic_energy()
-    d = n + 1
 
-    def fn(comps, s):
-        m = momentum_components(comps, d)
+    state_type = GasState
+
+    def __init__(self, n=1, internal_energy=None, name="gas", params=None):
+        self.internal_energy = (internal_energy if internal_energy is not None
+                                else polytropic_energy())
+        super().__init__(name, n + 1, n, self._density, grad_fn=self._coeff_gradient,
+                         params=dict(params or {}, n=n))
+
+    def _density(self, comps, s):
+        m = momentum_components(comps, self.d)
         rho = m[0]
         q2 = 0.0
         for qi in m[1:]:
             q2 = q2 + qi * qi
-        return q2 / (2.0 * rho) - g(rho, s)
+        return q2 / (2.0 * rho) - self.internal_energy(rho, s)
 
-    def g_rho(rho, s):
-        r = g(Dual(np.asarray(rho, dtype=float) + 0.0, 1.0), s)
+    def _coeff_gradient(self, A, s):
+        return momentum_to_coeffs(self.m_gradient(coeffs_to_momentum(A), s))
+
+    def g_rho(self, rho, s):
+        r = self.internal_energy(Dual(np.asarray(rho, dtype=float) + 0.0, 1.0), s)
         return derivative(r, like=rho)
 
-    def m_gradient(m, s):
+    def m_gradient(self, m, s):
         m = np.asarray(m, dtype=float)
         rho = m[..., 0]
         q = m[..., 1:]
         q2 = np.einsum("...k,...k->...", q, q)
         out = np.empty_like(m)
-        out[..., 0] = -q2 / (2.0 * rho * rho) - g_rho(rho, s)
+        out[..., 0] = -q2 / (2.0 * rho * rho) - self.g_rho(rho, s)
         out[..., 1:] = q / rho[..., None]
         return out
 
-    def grad_fn(A, s):
-        return momentum_to_coeffs(m_gradient(coeffs_to_momentum(A), s))
-
-    def pressure(rho, s=0.0):
+    def pressure(self, rho, s=0.0):
         rho = np.asarray(rho, dtype=float)
-        return rho * g_rho(rho, s) - g(rho, s)
+        return rho * self.g_rho(rho, s) - self.internal_energy(rho, s)
 
-    def pressure_entropy_derivative(rho, s=0.0):
+    def pressure_entropy_derivative(self, rho, s=0.0):
         # nested duals would conflate channels; one central difference in s
         h = 1e-6 * (1.0 + np.abs(s))
-        return (pressure(rho, s + h) - pressure(rho, s - h)) / (2.0 * h)
+        return (self.pressure(rho, s + h) - self.pressure(rho, s - h)) / (2.0 * h)
 
-    def sampler(rng, n_states):
-        rho = rng.uniform(0.3, 2.0, n_states)
-        q = rng.standard_normal((n_states, d - 1))
+    def sample_states(self, rng, n):
+        rho = rng.uniform(0.3, 2.0, n)
+        q = rng.standard_normal((n, self.d - 1))
         m = np.concatenate([rho[:, None], q], axis=1)
-        return momentum_to_coeffs(m), 0.3 * rng.standard_normal(n_states)
-
-    model = LagrangianModel(name, d, d - 1, fn, grad_fn=grad_fn,
-                            metric_hint=None, sampler=sampler,
-                            params=dict(params or {}, n=n))
-    model.internal_energy = g
-    model.g_rho = g_rho
-    model.m_gradient = m_gradient
-    model.pressure = pressure
-    model.pressure_entropy_derivative = pressure_entropy_derivative
-    return model
+        return momentum_to_coeffs(m), 0.3 * rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
 # relativistic gas (momentum 3-forms in d = 4)
 
 
-def model_relativistic(profile=None, c=1.0, name="relativistic", params=None,
-                       kappa=None):
+class RelativisticModel(LagrangianModel):
     """L = profile(rho, s) with rho = sqrt(-m^T Lam m), Lam = diag(-c^2, 1, 1, 1).
 
     States must be strictly inside the light cone; the 4-velocity u = m / rho
-    satisfies u^T Lam u = -1 (at rest u_0 = 1/c).
+    satisfies u^T Lam u = -1 (at rest u_0 = 1/c).  A power-law exponent
+    ``kappa`` is recorded in ``params``; without a profile it selects
+    rho^kappa (default 1.5).
     """
-    if profile is None:
-        kappa = 1.5 if kappa is None else kappa
-        profile = lambda rho, s: rho ** kappa
-    Lam = minkowski_metric(c, 4)
-    d = 4
 
-    def rho_sq_of(m):
+    state_type = RelativisticState
+
+    def __init__(self, profile=None, c=1.0, name="relativistic", params=None,
+                 kappa=None):
+        if profile is None:
+            kappa = 1.5 if kappa is None else kappa
+            profile = lambda rho, s: rho ** kappa
+        self.profile = profile
+        self.c = c
+        self.Lam = minkowski_metric(c, 4)
+        params = dict(params or {}, c=c)
+        if kappa is not None:
+            params["kappa"] = kappa
+        super().__init__(name, 4, 3, self._density, grad_fn=self._coeff_gradient,
+                         metric_hint=self.Lam, params=params,
+                         validator=lambda A, s: self.rho_of(coeffs_to_momentum(A)))
+
+    @property
+    def ultrarelativistic(self):
+        """Whether the power-law exponent is the ultra-relativistic 4/3."""
+        return abs(self.params.get("kappa", 0.0) - 4.0 / 3.0) < 1e-12
+
+    def _density(self, comps, s):
+        m = momentum_components(comps, self.d)
+        c = self.c
+        r2 = (c * c) * m[0] * m[0]
+        for mi in m[1:]:
+            r2 = r2 - mi * mi
+        return self.profile(dualnum.sqrt(r2), s)
+
+    def _coeff_gradient(self, A, s):
+        return momentum_to_coeffs(self.m_gradient(coeffs_to_momentum(A), s))
+
+    def rho_sq(self, m):
+        """rho^2 = c^2 m_0^2 - |m_1..3|^2, positive inside the light cone."""
         m = np.asarray(m, dtype=float)
-        return (c * c) * m[..., 0] ** 2 - np.einsum("...k,...k->...", m[..., 1:], m[..., 1:])
+        q2 = np.einsum("...k,...k->...", m[..., 1:], m[..., 1:])
+        return (self.c * self.c) * m[..., 0] ** 2 - q2
 
-    def rho_of(m):
-        r2 = rho_sq_of(m)
+    def rho_of(self, m):
+        r2 = self.rho_sq(m)
         if np.any(r2 <= 0.0):
             raise LuminalStateError("momentum is not strictly sub-luminal")
         return np.sqrt(r2)
 
-    def u_of(m):
-        return np.asarray(m, dtype=float) / rho_of(m)[..., None]
-
-    def validator(A, s):
-        rho_of(coeffs_to_momentum(A))
-
-    def fn(comps, s):
-        m = momentum_components(comps, d)
-        r2 = (c * c) * m[0] * m[0]
-        for mi in m[1:]:
-            r2 = r2 - mi * mi
-        return profile(dualnum.sqrt(r2), s)
-
-    def profile_rho(rho, s):
-        r = profile(Dual(np.asarray(rho, dtype=float) + 0.0, 1.0), s)
+    def profile_rho(self, rho, s):
+        r = self.profile(Dual(np.asarray(rho, dtype=float) + 0.0, 1.0), s)
         return derivative(r, like=rho)
 
-    def m_gradient(m, s):
+    def m_gradient(self, m, s):
         m = np.asarray(m, dtype=float)
-        rho = rho_of(m)
-        lam_m = np.einsum("ij,...j->...i", Lam, m)
-        return -(profile_rho(rho, s) / rho)[..., None] * lam_m
+        rho = self.rho_of(m)
+        lam_m = np.einsum("ij,...j->...i", self.Lam, m)
+        return -(self.profile_rho(rho, s) / rho)[..., None] * lam_m
 
-    def grad_fn(A, s):
-        return momentum_to_coeffs(m_gradient(coeffs_to_momentum(A), s))
-
-    def pressure(rho, s=0.0):
+    def pressure(self, rho, s=0.0):
         rho = np.asarray(rho, dtype=float)
-        return rho * profile_rho(rho, s) - profile(rho, s)
+        return rho * self.profile_rho(rho, s) - self.profile(rho, s)
 
-    def energy_density(rho, s=0.0):
-        return profile(np.asarray(rho, dtype=float), s) / (c * c)
+    def energy_density(self, rho, s=0.0):
+        return self.profile(np.asarray(rho, dtype=float), s) / (self.c * self.c)
 
-    def sampler(rng, n_states):
-        ms = rng.standard_normal((n_states, 3))
-        rho = rng.uniform(0.3, 2.0, n_states)
-        m0 = np.sqrt(rho ** 2 + np.einsum("ij,ij->i", ms, ms)) / c
+    def sample_states(self, rng, n):
+        ms = rng.standard_normal((n, 3))
+        rho = rng.uniform(0.3, 2.0, n)
+        m0 = np.sqrt(rho ** 2 + np.einsum("ij,ij->i", ms, ms)) / self.c
         m = np.concatenate([m0[:, None], ms], axis=1)
-        return momentum_to_coeffs(m), 0.3 * rng.standard_normal(n_states)
-
-    model = LagrangianModel(name, d, 3, fn, grad_fn=grad_fn,
-                            metric_hint=Lam, sampler=sampler,
-                            params=dict(params or {}, c=c),
-                            validator=validator)
-    model.c = c
-    model.Lam = Lam
-    model.rho_of = rho_of
-    model.u_of = u_of
-    model.profile = profile
-    model.profile_rho = profile_rho
-    model.m_gradient = m_gradient
-    model.pressure = pressure
-    model.energy_density = energy_density
-    if kappa is not None:
-        model.kappa = kappa
-        model.params["kappa"] = kappa
-        model.ultrarelativistic = abs(kappa - 4.0 / 3.0) < 1e-12
-    return model
+        return momentum_to_coeffs(m), 0.3 * rng.standard_normal(n)
 
 
 def model_relativistic_powerlaw(kappa=4.0 / 3.0, c=1.0, mu=0.0,
@@ -465,63 +467,58 @@ def model_relativistic_powerlaw(kappa=4.0 / 3.0, c=1.0, mu=0.0,
         profile = lambda rho, s: rho ** kappa
     else:
         profile = lambda rho, s: dualnum.exp(mu * s) * rho ** kappa
-    return model_relativistic(profile=profile, c=c, name=name,
-                              params={"kappa": kappa, "mu": mu}, kappa=kappa)
+    return RelativisticModel(profile=profile, c=c, name=name,
+                             params={"kappa": kappa, "mu": mu}, kappa=kappa)
 
 
 def model_relativistic_limit(c=1.0, name="relativistic-limit"):
     """L = rho^2, the boundary case kappa = 2 where genuine jumps are forced
     onto light-like interfaces."""
-    return model_relativistic(profile=lambda rho, s: rho * rho, c=c,
-                              name=name, params={}, kappa=2.0)
+    return RelativisticModel(profile=lambda rho, s: rho * rho, c=c,
+                             name=name, params={}, kappa=2.0)
 
 
 # ---------------------------------------------------------------------------
 # electromagnetic 2-form densities (d = 4)
 
 
-def model_maxwell(lag_eb, material=None, name="maxwell", params=None):
+class MaxwellModel(LagrangianModel):
     """Density over the electromagnetic decomposition of a 2-form.
 
     ``lag_eb(E, B, s)`` receives E and B as component lists; ``material``
     optionally returns the closed-form fields (D, H) for batched arrays.
     """
 
-    def fn(comps, s):
-        E, B = em_components(comps)
-        return lag_eb(E, B, s)
+    state_type = EMState
 
-    grad_fn = None
-    if material is not None:
-        def grad_fn(A, s):
-            E, B = coeffs_to_em(A)
-            D, H = material(E, B, s)
-            return em_gradient_to_coeffs(D, H)
+    def __init__(self, lag_eb, material=None, name="maxwell", params=None):
+        self.material = material
+        super().__init__(name, 4, 2, lambda comps, s: lag_eb(*em_components(comps), s),
+                         grad_fn=None if material is None else self._material_gradient,
+                         metric_hint=minkowski_metric(1.0, 4), params=dict(params or {}))
 
-    def sampler(rng, n_states):
-        E = rng.standard_normal((n_states, 3))
-        B = rng.standard_normal((n_states, 3))
-        return em_to_coeffs(E, B), 0.3 * rng.standard_normal(n_states)
+    def _material_gradient(self, A, s):
+        E, B = coeffs_to_em(A)
+        D, H = self.material(E, B, s)
+        return em_gradient_to_coeffs(D, H)
 
-    model = LagrangianModel(name, 4, 2, fn, grad_fn=grad_fn,
-                            metric_hint=minkowski_metric(1.0, 4),
-                            sampler=sampler, params=dict(params or {}))
-
-    def fields(E, B, s=0.0):
+    def fields(self, E, B, s=0.0):
         """Material response (D, H) and energy density W = E . D - L."""
         E = np.asarray(E, dtype=float)
         B = np.asarray(B, dtype=float)
         A = em_to_coeffs(E, B)
-        if material is not None:
-            D, H = material(E, B, s)
+        if self.material is not None:
+            D, H = self.material(E, B, s)
         else:
-            D, H = coeffs_to_em_gradient(model.gradient(A, s))
-        L = model.evaluate(A, s)
+            D, H = coeffs_to_em_gradient(self.gradient(A, s))
+        L = self.evaluate(A, s)
         W = np.einsum("...k,...k->...", E, D) - L
         return np.asarray(D, float), np.asarray(H, float), W
 
-    model.fields = fields
-    return model
+    def sample_states(self, rng, n):
+        E = rng.standard_normal((n, 3))
+        B = rng.standard_normal((n, 3))
+        return em_to_coeffs(E, B), 0.3 * rng.standard_normal(n)
 
 
 def model_maxwell_linear(name="maxwell-linear"):
@@ -537,7 +534,7 @@ def model_maxwell_linear(name="maxwell-linear"):
     def material(E, B, s):
         return E, B
 
-    return model_maxwell(lag, material=material, name=name)
+    return MaxwellModel(lag, material=material, name=name)
 
 
 def _em_invariants(E, B):
@@ -574,7 +571,7 @@ def model_maxwell_lorentz(F=None, name="maxwell-lorentz", params=None):
         H = FX[..., None] * B - FY[..., None] * E
         return D, H
 
-    return model_maxwell(lag, material=material, name=name, params=params)
+    return MaxwellModel(lag, material=material, name=name, params=params)
 
 
 def model_maxwell_anisotropic(name="maxwell-anisotropic"):
@@ -589,7 +586,7 @@ def model_maxwell_anisotropic(name="maxwell-anisotropic"):
     def material(E, B, s):
         return 2.0 * E, np.zeros_like(B)
 
-    return model_maxwell(lag, material=material, name=name)
+    return MaxwellModel(lag, material=material, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -722,15 +719,13 @@ class ModelEntry:
 def _gas_factory(n=1, gamma=2.0, mu=0.0, g="polytropic"):
     if g != "polytropic":
         raise ValueError("only the polytropic internal energy is registered")
-    return model_gas_dynamics(n=int(n), internal_energy=polytropic_energy(gamma, mu),
-                              name="gas", params={"gamma": gamma, "mu": mu})
+    return GasModel(n=int(n), internal_energy=polytropic_energy(gamma, mu),
+                    name="gas", params={"gamma": gamma, "mu": mu})
 
 
 def _gas_polytropic_factory(n=3, gamma=1.4, mu=1.0):
-    return model_gas_dynamics(n=int(n),
-                              internal_energy=polytropic_energy(gamma, mu),
-                              name="gas-polytropic",
-                              params={"gamma": gamma, "mu": mu})
+    return GasModel(n=int(n), internal_energy=polytropic_energy(gamma, mu),
+                    name="gas-polytropic", params={"gamma": gamma, "mu": mu})
 
 
 def _user_expr_factory(expr=None, d=None, p=None):

@@ -1,9 +1,6 @@
 """Shared sampling and comparison helpers for the test suite."""
 import numpy as np
 
-from divfree import coeffs_to_em, coeffs_to_momentum
-from divfree.models import EMState, GasState, RelativisticState
-
 
 def sampled_states(model, n, seed):
     """Admissible (A, s) batch drawn through the model's own sampler."""
@@ -17,18 +14,3 @@ def rel_gap(a, b):
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     return float(np.abs(a - b).max() / scale)
 
-
-def typed_states(model, A, s):
-    """Wrap sampled coefficient rows in the state class the model's block
-    assembler expects.  Relies on the model family being recognizable from
-    its name, which holds for every registry entry."""
-    s = np.broadcast_to(np.asarray(s, dtype=float), A.shape[:1])
-    if model.name.startswith("maxwell"):
-        EB = [coeffs_to_em(a) for a in A]
-        return [EMState(E=e, B=b, s=float(si)) for (e, b), si in zip(EB, s)]
-    if model.name.startswith("relativistic"):
-        m = coeffs_to_momentum(A)
-        return [RelativisticState(m=mi, s=float(si)) for mi, si in zip(m, s)]
-    m = coeffs_to_momentum(A)
-    return [GasState(rho=float(mi[0]), q=mi[1:], s=float(si))
-            for mi, si in zip(m, s)]

@@ -175,6 +175,19 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", (
+    ["tensor", "--model", "relativistic", "--state", '{"rho":1.0,"q":[0.1,0,0]}'],
+    ["tensor", "--model", "iso-p1", "--state", '{"rho":1.0,"q":[1]}'],
+    ["jump", "--model", "gas", "--m-left", "[2.0,0.3]"],
+))
+def test_state_of_the_wrong_kind_is_an_input_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_pretty_output_renders_scalars(capsys):
     code, out = run_cli(capsys, ["tensor", "--model", "gas",
                                  "--state", '{"rho": 1.0, "q": [1.0]}',
@@ -204,6 +217,13 @@ def test_parse_state_selects_the_right_type():
     iso = build_model("iso-p1")
     st = _parse_state(iso, '{"coeffs": [3, 4]}')
     assert isinstance(st, PFormValue)
+    # coefficients are valid for every model; other keys follow its class
+    st = _parse_state(rel, '{"coeffs": [0.3, 0.1, -0.2, 2.0], "s": 0.5}')
+    assert isinstance(st, PFormValue) and st.entropy == 0.5
+    with pytest.raises(ValueError):
+        _parse_state(rel, '{"E": [1, 0, 0], "B": [0, 1, 0]}')
+    with pytest.raises(ValueError):
+        _parse_state(gas, '{"rho": 1.5}')
 
 
 def test_report_serialization_is_canonical():

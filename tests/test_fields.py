@@ -117,6 +117,35 @@ def test_csv_import_places_rows_by_index(tmp_path):
     assert np.abs(back.entropy - 0.2).max() == 0.0
 
 
+def test_load_rejects_a_foreign_component_order(tmp_path):
+    path = save_grid(_gas_momentum_grid(4), tmp_path / "field.json")
+    manifest = json.loads(path.read_text())
+    manifest["component_order"] = ["1", "0"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="component_order"):
+        load_grid(path)
+
+
+def _csv_4x4(tmp_path, drop=None, extra=()):
+    lines = ["i0,i1,A_0,A_1"]
+    lines += [f"{i},{j},{i}.5,{j}.5" for i in range(4) for j in range(4)
+              if (i, j) != drop]
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines + list(extra)) + "\n")
+    return path
+
+
+def test_csv_import_rejects_a_missing_cell(tmp_path):
+    assert load_grid_csv(_csv_4x4(tmp_path), 2, 1, (0.25, 0.25)).dims == (4, 4)
+    with pytest.raises(ValueError, match=r"missing cell \(2, 2\)"):
+        load_grid_csv(_csv_4x4(tmp_path, drop=(2, 2)), 2, 1, (0.25, 0.25))
+
+
+def test_csv_import_rejects_a_duplicate_cell(tmp_path):
+    with pytest.raises(ValueError, match=r"duplicate cell \(1, 1\)"):
+        load_grid_csv(_csv_4x4(tmp_path, extra=["1,1,99,99"]), 2, 1, (0.25, 0.25))
+
+
 def test_cubic_gradient_field_closes_at_exactly_h_squared():
     # the only central-difference error is on the cubed variable: D x^3 = 3 x^2 + h^2
     for n in (8, 16):

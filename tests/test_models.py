@@ -5,6 +5,7 @@ import pytest
 from divfree import (
     EvaluationDomainError,
     LuminalStateError,
+    PFormValue,
     SingularGradientError,
     ad_gradient,
     build_model,
@@ -17,7 +18,16 @@ from divfree import (
     momentum_to_coeffs,
     state_to_form,
 )
-from divfree.models import EMState, GasState, RelativisticState
+from divfree.models import (
+    EMState,
+    GasModel,
+    GasState,
+    LagrangianModel,
+    MaxwellModel,
+    RelativisticModel,
+    RelativisticState,
+    typed_state,
+)
 
 from helpers import rel_gap, sampled_states
 
@@ -157,9 +167,9 @@ def test_sampled_states_are_admissible(name):
     assert A.shape == (200, model.n_coeffs)
     assert s.shape == (200,)
     assert np.isfinite(model.evaluate(A, s)).all()
-    if model.name.startswith(("gas",)):
+    if isinstance(model, GasModel):
         assert coeffs_to_momentum(A)[:, 0].min() > 0.0
-    if model.name.startswith("relativistic"):
+    if isinstance(model, RelativisticModel):
         m = coeffs_to_momentum(A)
         r2 = model.c ** 2 * m[:, 0] ** 2 - np.einsum("ij,ij->i", m[:, 1:], m[:, 1:])
         assert r2.min() > 0.0
@@ -177,6 +187,31 @@ def test_state_to_form_round_trips():
     B = np.array([0.0, 1.0, 0.0])
     fm = state_to_form(mx, EMState(E=E, B=B))
     assert np.abs(fm.coeffs - em_to_coeffs(E, B)).max() == 0.0
+
+
+@pytest.mark.parametrize("name, cls, state", (
+    ("iso-p1", LagrangianModel, PFormValue),
+    ("minimal-surface", LagrangianModel, PFormValue),
+    ("gas", GasModel, GasState),
+    ("gas-polytropic", GasModel, GasState),
+    ("relativistic", RelativisticModel, RelativisticState),
+    ("relativistic-powerlaw", RelativisticModel, RelativisticState),
+    ("relativistic-limit", RelativisticModel, RelativisticState),
+    ("maxwell-linear", MaxwellModel, EMState),
+    ("maxwell-lorentz", MaxwellModel, EMState),
+    ("maxwell-anisotropic", MaxwellModel, EMState),
+))
+def test_typed_state_inverts_state_to_form(name, cls, state):
+    # the class is the family, and it alone picks the state type
+    model = build_model(name)
+    assert type(model) is cls
+    A, s = sampled_states(model, 5, seed=8)
+    for a, sk in zip(A, s):
+        st = typed_state(model, a, sk)
+        assert type(st) is state
+        assert (st.entropy if state is PFormValue else st.s) == sk
+        form = state_to_form(model, st)
+        assert np.abs(form.coeffs - a).max() == 0.0
 
 
 def test_expression_model_matches_closed_isotropic():

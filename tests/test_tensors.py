@@ -18,11 +18,12 @@ from divfree import (
     momentum_to_coeffs,
     state_to_form,
     symmetry_defect,
+    typed_state,
 )
 from divfree.models import EMState, GasState, RelativisticState
 from divfree.tensors import general_tensor_array
 
-from helpers import rel_gap, sampled_states, typed_states
+from helpers import rel_gap, sampled_states
 
 GAS_WITNESS = GasState(rho=1.0, q=[1.0])
 EM_WITNESS = EMState(E=[1.0, 0.0, 0.0], B=[0.0, 1.0, 0.0])
@@ -69,7 +70,7 @@ def test_gas_routes_agree(name):
     model = build_model(name)
     A, s = sampled_states(model, 40, seed=11)
     T_gen = general_tensor_array(model, A, s)
-    for k, st in enumerate(typed_states(model, A, s)):
+    for k, st in enumerate(typed_state(model, a, sk) for a, sk in zip(A, s)):
         T_blk = assemble_gas(model, st)[0].entries
         T_nf = assemble_nform(model, st.m, st.s).entries
         assert rel_gap(T_blk, T_gen[k]) < 1e-12
@@ -82,7 +83,7 @@ def test_relativistic_routes_agree(name):
     model = build_model(name)
     A, s = sampled_states(model, 40, seed=12)
     T_gen = general_tensor_array(model, A, s)
-    for k, st in enumerate(typed_states(model, A, s)):
+    for k, st in enumerate(typed_state(model, a, sk) for a, sk in zip(A, s)):
         T_blk = assemble_relativistic(model, st)[0].entries
         T_nf = assemble_nform(model, st.m, st.s).entries
         assert rel_gap(T_blk, T_gen[k]) < 1e-12
@@ -95,7 +96,7 @@ def test_maxwell_routes_agree(name):
     model = build_model(name)
     A, s = sampled_states(model, 40, seed=13)
     T_gen = general_tensor_array(model, A, s)
-    for k, st in enumerate(typed_states(model, A, s)):
+    for k, st in enumerate(typed_state(model, a, sk) for a, sk in zip(A, s)):
         T_blk = assemble_maxwell(model, st)[0].entries
         assert rel_gap(T_blk, T_gen[k]) < 1e-12
 
@@ -103,7 +104,7 @@ def test_maxwell_routes_agree(name):
 def test_relativistic_corrected_tensor_is_symmetric():
     rel = build_model("relativistic")
     A, s = sampled_states(rel, 25, seed=14)
-    for st in typed_states(rel, A, s):
+    for st in (typed_state(rel, a, sk) for a, sk in zip(A, s)):
         _, Tp = assemble_relativistic(rel, st)
         assert np.abs(Tp.entries - Tp.entries.T).max() < 1e-12 * max(
             1.0, np.abs(Tp.entries).max())
