@@ -155,12 +155,23 @@ def _metric_for(args, d):
     return minkowski_metric(c=args.c, d=4)
 
 
+def _is_numeric(value):
+    if isinstance(value, list):
+        return all(_is_numeric(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_state(model, text):
     """A state from JSON: {"coeffs": [..]} for any model, or the fields of
-    the model's own state class (rho/q, m or E/B); "s" is optional."""
+    the model's own state class (rho/q, m or E/B); "s" is optional.  Every
+    field holds a number or an array of numbers."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("state must be a JSON object")
+    for key, value in data.items():
+        if not _is_numeric(value):
+            raise ValueError(f"state field {key!r} must be a number or an "
+                             f"array of numbers, not {json.dumps(value)}")
     s = float(data.pop("s", 0.0))
     if "coeffs" in data:
         return PFormValue(model.d, model.p,
@@ -275,6 +286,7 @@ def cmd_verify(args):
             grid = load_grid(path)
         report = {"command": "verify", "field": str(path),
                   "d": grid.d, "p": grid.p, "dims": list(grid.dims),
+                  "nonfinite_cells": grid.nonfinite_cells(),
                   "closedness_residual": closedness_residual(grid)}
         worst = report["closedness_residual"]
         if args.model:
@@ -283,8 +295,9 @@ def cmd_verify(args):
             report["model"] = model.name
             report["div_rows"] = rows
             report["div_residual"] = float(rows.max())
-            worst = max(worst, report["div_residual"])
-        failed = args.tol is not None and worst > args.tol
+            worst = np.maximum(worst, report["div_residual"])
+        # a NaN residual fails: it is not <= any tolerance
+        failed = args.tol is not None and not worst <= args.tol
         if args.tol is not None:
             report["tol"] = args.tol
         return report, failed

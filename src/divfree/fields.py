@@ -60,6 +60,8 @@ class GridField:
         self.origin = tuple(float(o) for o in self.origin)
         if len(self.dims) != self.d or len(self.spacing) != self.d or len(self.origin) != self.d:
             raise ValueError("dims, spacing and origin must each have d entries")
+        if not all(math.isfinite(h) and h > 0.0 for h in self.spacing):
+            raise ValueError(f"spacing {self.spacing} must be positive and finite")
         C = form_basis(self.d, self.p).size
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.dims + (C,):
@@ -76,6 +78,16 @@ class GridField:
     @property
     def cell_volume(self):
         return float(np.prod(self.spacing))
+
+    def nonfinite_cells(self):
+        """Number of nodes with a NaN or infinite coefficient or entropy."""
+        finite = np.isfinite(self.values)
+        entropy = np.isfinite(self.entropy) if self.entropy is not None else True
+        # the per-node reduction over the short coefficient axis costs ten
+        # times the isfinite pass, so skip it when every channel is finite
+        if finite.all() and np.all(entropy):
+            return 0
+        return int(np.count_nonzero(~(finite.all(axis=-1) & entropy)))
 
     def coordinates(self):
         axes = [self.origin[a] + self.spacing[a] * np.arange(self.dims[a])
@@ -135,9 +147,13 @@ def load_grid(path):
     if given != order:
         raise ValueError(f"component_order {given} is not the canonical order "
                          f"{order} for (d={d}, p={p})")
+    data = (path.parent / manifest["data"]).resolve()
+    if not data.is_relative_to(path.parent.resolve()):
+        raise ValueError(f"data file {manifest['data']!r} lies outside the "
+                         f"manifest's directory")
     C = len(order)
     n_comp = C + (1 if manifest["has_entropy"] else 0)
-    raw = np.frombuffer((path.parent / manifest["data"]).read_bytes(), dtype="<f8")
+    raw = np.frombuffer(data.read_bytes(), dtype="<f8")
     expected = int(np.prod(dims)) * n_comp
     if raw.size != expected:
         raise ValueError(f"data file holds {raw.size} floats, expected {expected}")
@@ -202,7 +218,8 @@ def _require_interior(grid):
 
 
 def closedness_residual(grid):
-    """Max-norm residual of d(alpha) = 0 on interior nodes.
+    """Max-norm residual of d(alpha) = 0 on interior nodes; NaN when any
+    interior difference is NaN.
 
     Each degree-(p+1) component is the alternating sum of axis derivatives of
     degree-p components; for momentum forms this is mass conservation, for
@@ -216,8 +233,8 @@ def closedness_residual(grid):
         acc = 0.0
         for axis, slot, sign in terms:
             acc = acc + sign * _cd(grid.values[..., slot], axis, grid.spacing[axis], grid.d)
-        worst = max(worst, float(np.abs(acc).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(acc).max())
+    return float(worst)
 
 
 def tensor_grid(model, grid, variant="general"):
@@ -376,7 +393,7 @@ def _flow_with_jacobian(var, Y, tau, substeps):
     def rhs(state):
         wc, Gc = state
         v, J = var.value_and_jacobian(wc)
-        return -v, -np.einsum("...ij,...jk->...ik", J, Gc)
+        return -v, -(J @ Gc)
 
     for _ in range(substeps):
         k1 = rhs((w, G))
@@ -400,6 +417,11 @@ def first_variation(model, grid, var, eps, substeps=8):
     The two agree to O(eps^2) + O(h^2); the entropy channel passes through
     the substitution untouched, so densities with strong entropy dependence
     satisfy the same identity.
+
+    Only nodes where xi or its Jacobian is nonzero are flowed and summed.
+    At any other node every RK4 stage reads (0, 0) at the node itself, so
+    the flow fixes it with G = I and it adds the same L(A) vol to both
+    signs of eps, which cancels in the centred difference.
     """
     if substeps < 8:
         raise ValueError("use at least 8 flow substeps")
@@ -407,8 +429,11 @@ def first_variation(model, grid, var, eps, substeps=8):
         raise ValueError("variation and field grids must match")
     d = grid.d
     Y = grid.coordinates().reshape(-1, d)
-    A = grid.values.reshape(-1, grid.n_coeffs)
-    s = grid.entropy.reshape(-1) if grid.entropy is not None else 0.0
+    v, J = var.value_and_jacobian(Y)
+    moving = np.any(v != 0.0, axis=-1) | np.any(J != 0.0, axis=(-2, -1))
+    Y = Y[moving]
+    A = grid.values.reshape(-1, grid.n_coeffs)[moving]
+    s = grid.entropy.reshape(-1)[moving] if grid.entropy is not None else 0.0
     vol = grid.cell_volume
 
     lo = np.asarray(grid.origin)

@@ -317,7 +317,8 @@ def _bump_profile(x, a, b):
     x = np.asarray(x, dtype=float)
     mid = ((b - a) / 2.0) ** 8
     y = (x - a) * (b - x)
-    return np.where((x > a) & (x < b), y ** 4 / mid, 0.0)
+    y2 = y * y
+    return np.where((x > a) & (x < b), y2 * y2 / mid, 0.0)
 
 
 def _bump_profile_deriv(x, a, b):
@@ -325,7 +326,7 @@ def _bump_profile_deriv(x, a, b):
     mid = ((b - a) / 2.0) ** 8
     y = (x - a) * (b - x)
     dy = (a + b) - 2.0 * x
-    return np.where((x > a) & (x < b), 4.0 * y ** 3 * dy / mid, 0.0)
+    return np.where((x > a) & (x < b), 4.0 * (y * y * y) * dy / mid, 0.0)
 
 
 def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):

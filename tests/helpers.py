@@ -1,5 +1,12 @@
-"""Shared sampling and comparison helpers for the test suite."""
+"""Shared sampling, comparison and process helpers for the test suite."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+import divfree
 
 
 def sampled_states(model, n, seed):
@@ -13,4 +20,13 @@ def rel_gap(a, b):
     b = np.asarray(b, dtype=float)
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     return float(np.abs(a - b).max() / scale)
+
+
+def run_cli_process(argv):
+    """``python -m divfree.cli argv`` in a child process that imports the
+    same divfree as the tests, wherever pytest found it."""
+    paths = [str(Path(divfree.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, "-m", "divfree.cli", *argv],
+                          capture_output=True, text=True, env=env)
 

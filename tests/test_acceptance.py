@@ -4,8 +4,6 @@ Each test prints a single PASS/FAIL line (past the capture) so the criterion
 outcomes stay visible in a plain pytest run.  Tolerances, state counts and
 time budgets are asserted, not just reported.
 """
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -39,7 +37,7 @@ from divfree.fields import JumpInterface, _family_residual
 from divfree.models import RelativisticState
 from divfree.tensors import general_tensor_array
 
-from helpers import rel_gap, sampled_states
+from helpers import rel_gap, run_cli_process, sampled_states
 
 N_STATES = 100
 
@@ -273,9 +271,7 @@ def test_criterion_10_deterministic_reports(conclude, tmp_path):
         blobs = []
         for run in range(2):
             target = tmp_path / f"cmd{k}_run{run}.json"
-            done = subprocess.run(
-                [sys.executable, "-m", "divfree.cli"] + argv + ["--out", str(target)],
-                capture_output=True, text=True)
+            done = run_cli_process(argv + ["--out", str(target)])
             assert done.returncode == 0, done.stderr
             blobs.append(target.read_bytes())
         identical = identical and blobs[0] == blobs[1] and len(blobs[0]) > 0

@@ -1,7 +1,5 @@
 """Command line front end: thin wrapping, serialization, exit codes."""
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,6 +14,7 @@ from divfree import (
 from divfree.cli import dumps_report, main, parse_params, _parse_state
 from divfree.models import EMState, GasState, RelativisticState
 from divfree.exterior import PFormValue
+from helpers import run_cli_process
 
 
 def run_cli(capsys, argv):
@@ -116,6 +115,7 @@ def test_verify_field_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["closedness_residual"] == 0.0
     assert report["div_residual"] == 0.0
+    assert report["nonfinite_cells"] == 0
 
 
 def test_verify_field_tol_failure_exits_2(tmp_path, capsys):
@@ -133,6 +133,25 @@ def test_verify_field_tol_failure_exits_2(tmp_path, capsys):
                                  "--model", "gas", "--tol", "1e-12"])
     assert code == 2
     assert json.loads(out)["div_residual"] > 0.1
+
+
+def test_verify_field_with_a_nan_cell_fails(tmp_path, capsys):
+    from divfree import GridField, save_grid
+
+    g = GridField.from_function(
+        lambda Y: np.stack([np.full(Y.shape[:-1], -0.4),
+                            np.full(Y.shape[:-1], 1.3)], axis=-1),
+        d=2, p=1, dims=(9, 9), spacing=(0.125, 0.125))
+    g.values[4, 4] = np.nan
+    path = save_grid(g, tmp_path / "nan.json")
+    for model in ([], ["--model", "gas"]):
+        code, out = run_cli(capsys, ["verify", "--field", str(path), "--tol", "1e-10"]
+                            + model)
+        assert code == 2
+        report = json.loads(out)
+        assert report["nonfinite_cells"] == 1
+        assert report["closedness_residual"] == "nan"
+    assert report["div_residual"] == "nan"
 
 
 def test_jump_search_mode(capsys):
@@ -179,6 +198,8 @@ def test_usage_errors_exit_1(capsys):
     ["tensor", "--model", "relativistic", "--state", '{"rho":1.0,"q":[0.1,0,0]}'],
     ["tensor", "--model", "iso-p1", "--state", '{"rho":1.0,"q":[1]}'],
     ["jump", "--model", "gas", "--m-left", "[2.0,0.3]"],
+    ["tensor", "--model", "gas", "--state", '{"rho": null, "q": [1]}'],
+    ["tensor", "--model", "gas", "--state", '{"rho": 1.0, "q": [1], "s": null}'],
 ))
 def test_state_of_the_wrong_kind_is_an_input_error(capsys, argv):
     assert main(argv) == 1
@@ -238,13 +259,12 @@ def test_report_serialization_is_canonical():
 
 
 def test_two_processes_emit_identical_bytes(tmp_path):
-    cmd = [sys.executable, "-m", "divfree.cli", "invariance", "--model",
-           "maxwell-lorentz", "--metric", "minkowski", "--seed", "12"]
+    cmd = ["invariance", "--model", "maxwell-lorentz", "--metric", "minkowski",
+           "--seed", "12"]
     outs = []
     for k in range(2):
         target = tmp_path / f"run{k}.json"
-        done = subprocess.run(cmd + ["--out", str(target)],
-                              capture_output=True, text=True)
+        done = run_cli_process(cmd + ["--out", str(target)])
         assert done.returncode == 0
         outs.append(target.read_bytes())
     assert outs[0] == outs[1]

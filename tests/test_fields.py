@@ -1,5 +1,6 @@
 """Grid verification layer: residuals, variations, jump interfaces."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,8 +34,9 @@ from divfree import (
     tensor_grid,
     variation_study,
 )
-from divfree.fields import _family_residual
-from divfree.manufactured import _BUILDERS
+from divfree.exterior import pullback_coeffs
+from divfree.fields import _cd, _family_residual, _interior
+from divfree.manufactured import _BUILDERS, study_model
 from divfree.models import GasState, RelativisticState
 
 
@@ -69,6 +71,13 @@ def test_grid_shape_validation():
     with pytest.raises(ValueError):
         GridField(2, 1, (4, 4), (0.1, 0.1), (0.0, 0.0), np.zeros((4, 4, 2)),
                   entropy=np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("spacing", ((0.1, 0.0), (-0.1, 0.1), (0.1, np.nan),
+                                     (np.inf, 0.1)))
+def test_grid_rejects_a_degenerate_spacing(spacing):
+    with pytest.raises(ValueError, match="spacing"):
+        GridField(2, 1, (4, 4), spacing, (0.0, 0.0), np.zeros((4, 4, 2)))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -126,6 +135,19 @@ def test_load_rejects_a_foreign_component_order(tmp_path):
         load_grid(path)
 
 
+def test_load_keeps_the_data_file_next_to_the_manifest(tmp_path):
+    inner = tmp_path / "grids"
+    inner.mkdir()
+    path = save_grid(_gas_momentum_grid(4), inner / "field.json")
+    (inner / "field.bin").rename(tmp_path / "field.bin")
+    manifest = json.loads(path.read_text())
+    for data in ("../field.bin", str(tmp_path / "field.bin")):
+        manifest["data"] = data
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="outside"):
+            load_grid(path)
+
+
 def _csv_4x4(tmp_path, drop=None, extra=()):
     lines = ["i0,i1,A_0,A_1"]
     lines += [f"{i},{j},{i}.5,{j}.5" for i in range(4) for j in range(4)
@@ -160,6 +182,17 @@ def test_low_mode_trig_forms_are_discretely_closed():
         fn = closed_trig_form(d, p, seed=seed)
         g = GridField.from_function(fn, d, p, (8,) * d, (0.125,) * d)
         assert closedness_residual(g) < 1e-12
+
+
+def test_a_nan_cell_makes_the_residuals_nan():
+    g = _gas_momentum_grid(8)
+    assert g.nonfinite_cells() == 0
+    g.values[4, 4, 0] = np.nan
+    g.entropy = np.zeros((8, 8))
+    g.entropy[2, 2] = np.inf
+    assert g.nonfinite_cells() == 2
+    assert math.isnan(closedness_residual(g))
+    assert np.isnan(div_T_residual(build_model("gas"), g)).all()
 
 
 def test_top_degree_forms_close_vacuously():
@@ -215,6 +248,79 @@ def test_discrete_summation_by_parts_is_exact():
     _, pairing = first_variation(iso, g, var, eps=0.01)
     total = divergence_pairing(iso, g, var)
     assert abs(pairing - total) < 1e-13 * max(1.0, abs(total))
+
+
+def _full_grid_first_variation(model, grid, var, eps, substeps=8):
+    """Reference numeric derivative: the classical RK4 flow of every grid
+    node, with the functional summed over all of them."""
+    d = grid.d
+    Y = grid.coordinates().reshape(-1, d)
+    A = grid.values.reshape(-1, grid.n_coeffs)
+    s = grid.entropy.reshape(-1) if grid.entropy is not None else 0.0
+
+    def rhs(w, G):
+        v, J = var.value_and_jacobian(w)
+        return -v, -np.einsum("...ij,...jk->...ik", J, G)
+
+    def functional(tau):
+        w = Y.copy()
+        G = np.broadcast_to(np.eye(d), Y.shape + (d,)).copy()
+        h = tau / substeps
+        for _ in range(substeps):
+            k1 = rhs(w, G)
+            k2 = rhs(w + 0.5 * h * k1[0], G + 0.5 * h * k1[1])
+            k3 = rhs(w + 0.5 * h * k2[0], G + 0.5 * h * k2[1])
+            k4 = rhs(w + h * k3[0], G + h * k3[1])
+            w = w + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            G = G + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        B = pullback_coeffs(np.linalg.inv(G), A, d, grid.p)
+        L = np.asarray(model.evaluate(B, s), dtype=float)
+        return float(np.sum(L * np.linalg.det(G)) * grid.cell_volume)
+
+    return (functional(eps) - functional(-eps)) / (2.0 * eps)
+
+
+def _sampled_block_variation(d, n, seed):
+    """Grid samples only, nonzero on a centred block: the difference
+    Jacobian is also nonzero on the ring of nodes just outside it."""
+    values = np.zeros((n,) * d + (d,))
+    block = (slice(4, n - 4),) * d
+    values[block] = np.random.default_rng(seed).uniform(-0.3, 0.3, (n - 8,) * d + (d,))
+    return VariationField((n,) * d, (1.0 / n,) * d, (0.0,) * d, values)
+
+
+@pytest.mark.parametrize("d, p, n, sampled", ((2, 1, 16, False), (3, 2, 12, False),
+                                              (2, 1, 16, True)))
+def test_first_variation_matches_the_full_grid_flow(d, p, n, sampled):
+    h = 1.0 / n
+    grid = GridField.from_function(
+        closed_trig_form(d, p, seed=101), d, p, (n,) * d, (h,) * d,
+        entropy_fn=lambda Y: 0.5 * np.sin(2 * np.pi * Y[..., 0]))
+    if sampled:
+        var = _sampled_block_variation(d, n, seed=3)
+        v, J = var.value_and_jacobian(grid.coordinates())
+        still = ~np.any(v != 0.0, axis=-1)
+        assert np.any(still & np.any(J != 0.0, axis=(-2, -1)))
+    else:
+        var = bump_variation(d, (n,) * d, (h,) * d, seed=202,
+                             support=(2 * h + 1e-12, 1.0 - 2 * h - 1e-12))
+    model = study_model(d, p, seed=0)
+    numeric, _ = first_variation(model, grid, var, eps=0.01)
+    reference = _full_grid_first_variation(model, grid, var, eps=0.01)
+    # the scale of the pairing's terms, sum |T_ij d_j xi_i| vol, bounds what
+    # rounding can move in either sum
+    T = _interior(tensor_grid(model, grid), d)
+    scale = grid.cell_volume * sum(
+        float(np.sum(np.abs(T[..., i, j] * _cd(var.values[..., i], j, h, d))))
+        for i in range(d) for j in range(d))
+    assert abs(numeric - reference) <= 1e-12 * scale
+
+
+def test_a_still_variation_has_no_first_variation():
+    var = VariationField((8, 8), (0.125, 0.125), (0.0, 0.0), np.zeros((8, 8, 2)))
+    numeric, pairing = first_variation(build_model("iso-p1"), _gas_momentum_grid(8),
+                                       var, eps=0.01)
+    assert numeric == 0.0 and pairing == 0.0
 
 
 def test_variation_derivative_refines_at_second_order():
