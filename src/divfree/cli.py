@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -30,21 +31,8 @@ from .fields import (
 )
 from .invariance import invariance_symmetry_check
 from .manufactured import case_refinement, list_cases, run_case, variation_study
-from .models import (
-    EMState,
-    GasState,
-    RelativisticState,
-    build_model,
-    list_models,
-    state_to_form,
-)
-from .tensors import (
-    assemble_gas,
-    assemble_general,
-    assemble_maxwell,
-    assemble_relativistic,
-    symmetry_defect,
-)
+from .models import build_model, list_models, state_to_form
+from .tensors import assemble, symmetry_defect
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,19 +152,24 @@ def _is_numeric(value):
 def _parse_state(model, text):
     """A state from JSON: {"coeffs": [..]} for any model, or the fields of
     the model's own state class (rho/q, m or E/B); "s" is optional.  Every
-    field holds a number or an array of numbers."""
+    field holds a number or an array of numbers, and s and the fields the
+    state class declares float hold a number."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("state must be a JSON object")
+    kind = model.state_type
+    hints = {} if kind is None else typing.get_type_hints(kind)
     for key, value in data.items():
         if not _is_numeric(value):
             raise ValueError(f"state field {key!r} must be a number or an "
                              f"array of numbers, not {json.dumps(value)}")
+        if isinstance(value, list) and (key == "s" or hints.get(key) is float):
+            raise ValueError(f"state field {key!r} must be a number, "
+                             f"not {json.dumps(value)}")
     s = float(data.pop("s", 0.0))
     if "coeffs" in data:
         return PFormValue(model.d, model.p,
                           np.asarray(data["coeffs"], dtype=float), entropy=s)
-    kind = model.state_type
     keys = [] if kind is None else [f.name for f in dataclasses.fields(kind)
                                     if f.name != "s"]
     if not keys or set(data) != set(keys):
@@ -213,24 +206,8 @@ def cmd_tensor(args):
         "coeffs": form.coeffs,
         "density": float(model.evaluate(form.coeffs,
                                         form.entropy if form.entropy is not None else 0.0)),
+        **assemble(model, state),
     }
-    if isinstance(state, GasState):
-        T, Tp = assemble_gas(model, state)
-        report["tensor"] = T.entries
-        report["tensor_prime"] = Tp.entries
-        report["pressure"] = float(model.pressure(state.rho, state.s))
-    elif isinstance(state, RelativisticState):
-        T, Tp = assemble_relativistic(model, state)
-        report["tensor"] = T.entries
-        report["tensor_prime"] = Tp.entries
-        report["pressure"] = float(model.pressure(model.rho_of(state.m), state.s))
-    elif isinstance(state, EMState):
-        T, Tt = assemble_maxwell(model, state)
-        report["tensor"] = T.entries
-        report["tensor_tilde"] = Tt.entries
-    else:
-        T = assemble_general(model, state)
-        report["tensor"] = T.entries
     S = _metric_for(args, model.d)
     if S is not None:
         report["metric"] = S
@@ -330,7 +307,6 @@ def cmd_jump(args):
     right = _parse_state(model, args.right)
     nu = np.asarray(json.loads(args.normal), dtype=float)
     report = rankine_hugoniot(model, JumpInterface(nu, left, right))
-    report = {k: v for k, v in report.items()}
     report["command"] = "jump"
     report["model"] = model.name
     failed = args.tol is not None and float(np.max(report["row_residuals"])) > args.tol

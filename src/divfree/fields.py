@@ -38,6 +38,14 @@ def observed_order(coarse, fine):
 # grid containers
 
 
+def _positive_spacing(spacing):
+    """The spacing as floats; every step must be positive and finite."""
+    spacing = tuple(float(h) for h in spacing)
+    if not all(math.isfinite(h) and h > 0.0 for h in spacing):
+        raise ValueError(f"spacing {spacing} must be positive and finite")
+    return spacing
+
+
 @dataclass
 class GridField:
     """Degree-p coefficients sampled on a uniform node grid.
@@ -56,12 +64,10 @@ class GridField:
 
     def __post_init__(self):
         self.dims = tuple(int(n) for n in self.dims)
-        self.spacing = tuple(float(h) for h in self.spacing)
+        self.spacing = _positive_spacing(self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
         if len(self.dims) != self.d or len(self.spacing) != self.d or len(self.origin) != self.d:
             raise ValueError("dims, spacing and origin must each have d entries")
-        if not all(math.isfinite(h) and h > 0.0 for h in self.spacing):
-            raise ValueError(f"spacing {self.spacing} must be positive and finite")
         C = form_basis(self.d, self.p).size
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.dims + (C,):
@@ -345,7 +351,7 @@ class VariationField:
 
     def __post_init__(self):
         self.dims = tuple(int(n) for n in self.dims)
-        self.spacing = tuple(float(h) for h in self.spacing)
+        self.spacing = _positive_spacing(self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
         self.values = np.asarray(self.values, dtype=float)
         d = len(self.dims)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import form_basis, infinitesimal_pullback_coeffs, pullback_matrix
+from .exterior import infinitesimal_pullback_coeffs, pullback_matrix
 from .models import model_quadratic
 from .tensors import general_tensor_array, symmetry_defect
 
@@ -93,18 +93,11 @@ def _unit(d, k):
     return e
 
 
-def _states(model, n_states, seed, states):
-    """The given (A, s) batch, or n_states drawn from the model at seed."""
-    if states is None:
-        return model.sample_states(np.random.default_rng(seed), n_states)
-    return states
-
-
-def invariance_defect(model, S, n_states=128, seed=0, states=None):
-    """Max over generators and sampled states of the normalized pairing
+def invariance_defect(model, S, states):
+    """Max over generators and the states (A, s) of the normalized pairing
     |<dL/dA, infinitesimal pullback>| / (|dL/dA| |A|)."""
     basis = lie_basis(S)
-    A, s = _states(model, n_states, seed, states)
+    A, s = states
     G = model.gradient(A, s)
     norm = (np.linalg.norm(G, axis=-1) * np.linalg.norm(A, axis=-1)) + 1e-300
     worst = 0.0
@@ -115,23 +108,23 @@ def invariance_defect(model, S, n_states=128, seed=0, states=None):
     return worst
 
 
-def symmetry_defect_max(model, S, n_states=128, seed=0, states=None):
-    """Max asymmetry of S^{-1} T over sampled states."""
+def symmetry_defect_max(model, S, states):
+    """Max asymmetry of S^{-1} T over the states (A, s)."""
     check_metric(S)
-    A, s = _states(model, n_states, seed, states)
+    A, s = states
     T = general_tensor_array(model, A, s)
     return float(np.max(symmetry_defect(T, S)))
 
 
-def trace_identity_residual(model, S, n_states=128, seed=0, states=None):
-    """Max over the skew basis and states of |Tr(S^{-1} A (L I - T^T))|.
+def trace_identity_residual(model, S, states):
+    """Max over the skew basis and the states (A, s) of |Tr(S^{-1} A (L I - T^T))|.
 
     Vanishes exactly when the corrected tensor is symmetric; this is the
     bridge identity between the two sides of the equivalence.
     """
     S = check_metric(S)
     d = S.shape[0]
-    A_states, s = _states(model, n_states, seed, states)
+    A_states, s = states
     L = np.asarray(model.evaluate(A_states, s), dtype=float)
     T = general_tensor_array(model, A_states, s)
     X = L[..., None, None] * np.eye(d) - np.swapaxes(T, -1, -2)

@@ -37,6 +37,7 @@ class ManufacturedCase:
     floor: float
     tol: float
     description: str
+    build: object      # n -> what the kind's residual reads
 
 
 # oblique propagation direction: an axis-aligned light-speed wave makes the
@@ -58,27 +59,19 @@ def _case_plane_wave(n):
     return model, grid
 
 
-def _case_uniform_gas(n):
-    model = build_model("gas", {})
-    A = momentum_to_coeffs(np.array([1.3, 0.4]))
+def _uniform_momentum(model, params, m, entropy_fn=None):
+    """Builder of a constant momentum form m in d = len(m), with an optional
+    entropy field, for the registry model with these parameters."""
+    A = momentum_to_coeffs(np.asarray(m, dtype=float))
+    d = A.size
 
-    def fn(Y):
-        return np.broadcast_to(A, Y.shape[:-1] + (2,)).copy()
+    def build(n):
+        grid = GridField.from_function(
+            lambda Y: np.broadcast_to(A, Y.shape[:-1] + (d,)).copy(), d, d - 1,
+            (n,) * d, (1.0 / n,) * d, entropy_fn=entropy_fn)
+        return build_model(model, params), grid
 
-    grid = GridField.from_function(fn, 2, 1, (n, n), (1.0 / n, 1.0 / n),
-                                   entropy_fn=lambda Y: np.full(Y.shape[:-1], 0.2))
-    return model, grid
-
-
-def _case_uniform_relativistic(n):
-    model = build_model("relativistic", {})
-    A = momentum_to_coeffs(np.array([2.0, 0.3, -0.1, 0.2]))
-
-    def fn(Y):
-        return np.broadcast_to(A, Y.shape[:-1] + (4,)).copy()
-
-    grid = GridField.from_function(fn, 4, 3, (n,) * 4, (1.0 / n,) * 4)
-    return model, grid
+    return build
 
 
 def _case_gas_imbalance(n):
@@ -107,97 +100,64 @@ def _case_closed_cubic(n):
     return GridField.from_function(fn, 3, 1, (n,) * 3, (1.0 / n,) * 3)
 
 
-def _case_advected_entropy(n):
-    # entropy-coupled g so the nondegeneracy factor d p / d s is nonzero
-    model = build_model("gas", {"mu": 1.0})
-    A = momentum_to_coeffs(np.array([1.0, 0.7]))
+def _bernoulli(trig):
+    """Builder of a gas potential psi and density rho on the (t, x1) grid."""
+    def build(n):
+        h = 1.0 / n
+        t = h * np.arange(n)[:, None]
+        x = h * np.arange(n)[None, :]
+        if trig:
+            psi = -1.5 * t + np.sin(x) + 0.0 * t
+            rho = 1.5 - 0.5 * np.cos(x) ** 2 + 0.0 * t
+        else:
+            psi = -1.5 * t + x + 0.0 * t
+            rho = np.ones((n, n))
+        return (build_model("gas", {}), np.broadcast_to(psi, (n, n)).copy(),
+                np.broadcast_to(rho, (n, n)).copy(), (h, h))
 
-    def fn(Y):
-        return np.broadcast_to(A, Y.shape[:-1] + (2,)).copy()
-
-    grid = GridField.from_function(fn, 2, 1, (n, n), (1.0 / n, 1.0 / n),
-                                   entropy_fn=lambda Y: np.sin(Y[..., 1] - 0.7 * Y[..., 0]))
-    return model, grid
-
-
-def _case_entropy_shear(n):
-    model = build_model("gas", {"mu": 1.0})
-    A = momentum_to_coeffs(np.array([1.0, 1.0]))
-
-    def fn(Y):
-        return np.broadcast_to(A, Y.shape[:-1] + (2,)).copy()
-
-    grid = GridField.from_function(fn, 2, 1, (n, n), (1.0 / n, 1.0 / n),
-                                   entropy_fn=lambda Y: Y[..., 1])
-    return model, grid
+    return build
 
 
-def _bernoulli_grids(n, trig):
-    h = 1.0 / n
-    t = h * np.arange(n)[:, None]
-    x = h * np.arange(n)[None, :]
-    if trig:
-        psi = -1.5 * t + np.sin(x) + 0.0 * t
-        rho = 1.5 - 0.5 * np.cos(x) ** 2 + 0.0 * t
-    else:
-        psi = -1.5 * t + x + 0.0 * t
-        rho = np.ones((n, n))
-    return np.broadcast_to(psi, (n, n)).copy(), np.broadcast_to(rho, (n, n)).copy(), (h, h)
-
-
-def _case_bernoulli_linear(n):
-    model = build_model("gas", {})
-    psi, rho, spacing = _bernoulli_grids(n, trig=False)
-    return model, psi, rho, spacing
-
-
-def _case_bernoulli_trig(n):
-    model = build_model("gas", {})
-    psi, rho, spacing = _bernoulli_grids(n, trig=True)
-    return model, psi, rho, spacing
-
-
-_BUILDERS = {
-    "maxwell-plane-wave": _case_plane_wave,
-    "uniform-gas": _case_uniform_gas,
-    "uniform-relativistic": _case_uniform_relativistic,
-    "gas-pressure-imbalance": _case_gas_imbalance,
-    "closed-cubic": _case_closed_cubic,
-    "advected-entropy": _case_advected_entropy,
-    "entropy-shear": _case_entropy_shear,
-    "bernoulli-linear": _case_bernoulli_linear,
-    "bernoulli-trig": _case_bernoulli_trig,
-}
-
-CASES = {
-    "maxwell-plane-wave": ManufacturedCase(
+CASES = {case.name: case for case in (
+    ManufacturedCase(
         "maxwell-plane-wave", "divergence", "order2", 0.0, 0.0,
-        "vacuum wave along (1, 2, 2) / 3 with E, B transverse; every row decays at order 2"),
-    "uniform-gas": ManufacturedCase(
+        "vacuum wave along (1, 2, 2) / 3 with E, B transverse; every row decays at order 2",
+        _case_plane_wave),
+    ManufacturedCase(
         "uniform-gas", "divergence", "zero", 0.0, 1e-12,
-        "constant (rho, q): all differences vanish identically"),
-    "uniform-relativistic": ManufacturedCase(
+        "constant (rho, q): all differences vanish identically",
+        _uniform_momentum("gas", {}, [1.3, 0.4], lambda Y: np.full(Y.shape[:-1], 0.2))),
+    ManufacturedCase(
         "uniform-relativistic", "divergence", "zero", 0.0, 1e-13,
-        "constant timelike momentum: all differences vanish identically"),
-    "gas-pressure-imbalance": ManufacturedCase(
+        "constant timelike momentum: all differences vanish identically",
+        _uniform_momentum("relativistic", {}, [2.0, 0.3, -0.1, 0.2])),
+    ManufacturedCase(
         "gas-pressure-imbalance", "divergence", "floor", 0.5, 0.0,
-        "rho = 1 + x1^2 at rest: closed but not a solution; spatial row holds the pressure gradient"),
-    "closed-cubic": ManufacturedCase(
+        "rho = 1 + x1^2 at rest: closed but not a solution; spatial row holds the pressure gradient",
+        _case_gas_imbalance),
+    ManufacturedCase(
         "closed-cubic", "closedness", "order2", 0.0, 0.0,
-        "gradient of a quartic potential; closedness residual is exactly h^2"),
-    "advected-entropy": ManufacturedCase(
+        "gradient of a quartic potential; closedness residual is exactly h^2",
+        _case_closed_cubic),
+    # entropy-coupled g so the nondegeneracy factor d p / d s is nonzero
+    ManufacturedCase(
         "advected-entropy", "entropy", "order2", 0.0, 0.0,
-        "s = sin(x - 0.7 t) riding on m = (1, 0.7): transport holds at order 2"),
-    "entropy-shear": ManufacturedCase(
+        "s = sin(x - 0.7 t) riding on m = (1, 0.7): transport holds at order 2",
+        _uniform_momentum("gas", {"mu": 1.0}, [1.0, 0.7],
+                          lambda Y: np.sin(Y[..., 1] - 0.7 * Y[..., 0]))),
+    ManufacturedCase(
         "entropy-shear", "entropy", "floor", 0.9, 0.0,
-        "s = x1 against m = (1, 1): transport residual is exactly 1"),
-    "bernoulli-linear": ManufacturedCase(
+        "s = x1 against m = (1, 1): transport residual is exactly 1",
+        _uniform_momentum("gas", {"mu": 1.0}, [1.0, 1.0], lambda Y: Y[..., 1])),
+    ManufacturedCase(
         "bernoulli-linear", "bernoulli", "zero", 0.0, 1e-12,
-        "psi = -1.5 t + x1 with rho = 1: both residuals vanish to roundoff"),
-    "bernoulli-trig": ManufacturedCase(
+        "psi = -1.5 t + x1 with rho = 1: both residuals vanish to roundoff",
+        _bernoulli(trig=False)),
+    ManufacturedCase(
         "bernoulli-trig", "bernoulli", "order2", 0.0, 0.0,
-        "psi = -1.5 t + sin(x1), rho = 1.5 - cos(x1)^2 / 2: residual decays at order 2"),
-}
+        "psi = -1.5 t + sin(x1), rho = 1.5 - cos(x1)^2 / 2: residual decays at order 2",
+        _bernoulli(trig=True)),
+)}
 
 
 def list_cases():
@@ -209,7 +169,7 @@ def run_case(name, n):
     if name not in CASES:
         raise KeyError(f"unknown case {name!r}; choices: {', '.join(list_cases())}")
     case = CASES[name]
-    built = _BUILDERS[name](n)
+    built = case.build(n)
     report = {"case": name, "kind": case.kind, "n": n,
               "expected": case.expected, "description": case.description}
     if case.expected == "floor":

@@ -13,8 +13,9 @@ tensor assembly; models that ignore it simply do so.
 from __future__ import annotations
 
 import ast
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from .exterior import PFormValue, form_basis
 
 
 class EvaluationDomainError(ValueError):
-    """A density produced NaN from finite inputs."""
+    """A density was queried outside the density's domain, or produced NaN
+    from finite inputs."""
 
 
 class SingularGradientError(ValueError):
@@ -63,7 +65,7 @@ class LagrangianModel:
     state_type = None
 
     def __init__(self, name, d, p, fn, grad_fn=None, metric_hint=None,
-                 sampler=None, params=None, validator=None):
+                 sampler=None, params=None):
         self.name = name
         self.d = d
         self.p = p
@@ -74,7 +76,6 @@ class LagrangianModel:
         self.metric_hint = None if metric_hint is None else np.asarray(metric_hint, float)
         self._sampler = sampler
         self.params = dict(params or {})
-        self._validator = validator
 
     def _coerce(self, A, s):
         if isinstance(A, PFormValue):
@@ -93,15 +94,11 @@ class LagrangianModel:
 
     def evaluate(self, A, s=0.0):
         A, s = self._coerce(A, s)
-        if self._validator is not None:
-            self._validator(A, s)
         comps = [A[..., k] for k in range(self.n_coeffs)]
         return self._fn(comps, s)
 
     def gradient(self, A, s=0.0):
         A, s = self._coerce(A, s)
-        if self._validator is not None:
-            self._validator(A, s)
         if self._grad_fn is not None:
             return self._grad_fn(A, s)
         return _ad_gradient_core(self._fn, self.n_coeffs, A, s)
@@ -318,6 +315,12 @@ def polytropic_energy(gamma=2.0, mu=0.0):
     return g
 
 
+def _require_positive_density(rho):
+    # NaN passes: it is not <= 0, and it stays visible in the residuals
+    if np.any(np.asarray(rho) <= 0.0):
+        raise EvaluationDomainError("mass density must be positive")
+
+
 class GasModel(LagrangianModel):
     """L = |q|^2 / (2 rho) - g(rho, s) on momentum forms m = (rho, q), d = n + 1.
 
@@ -336,6 +339,7 @@ class GasModel(LagrangianModel):
     def _density(self, comps, s):
         m = momentum_components(comps, self.d)
         rho = m[0]
+        _require_positive_density(value(rho))
         q2 = 0.0
         for qi in m[1:]:
             q2 = q2 + qi * qi
@@ -351,6 +355,7 @@ class GasModel(LagrangianModel):
     def m_gradient(self, m, s):
         m = np.asarray(m, dtype=float)
         rho = m[..., 0]
+        _require_positive_density(rho)
         q = m[..., 1:]
         q2 = np.einsum("...k,...k->...", q, q)
         out = np.empty_like(m)
@@ -383,26 +388,17 @@ class RelativisticModel(LagrangianModel):
 
     States must be strictly inside the light cone; the 4-velocity u = m / rho
     satisfies u^T Lam u = -1 (at rest u_0 = 1/c).  A power-law exponent
-    ``kappa`` is recorded in ``params``; without a profile it selects
-    rho^kappa (default 1.5).
+    ``kappa``, when the profile has one, is recorded in ``params``.
     """
 
     state_type = RelativisticState
 
-    def __init__(self, profile=None, c=1.0, name="relativistic", params=None,
-                 kappa=None):
-        if profile is None:
-            kappa = 1.5 if kappa is None else kappa
-            profile = lambda rho, s: rho ** kappa
+    def __init__(self, profile, c=1.0, name="relativistic", params=None):
         self.profile = profile
         self.c = c
         self.Lam = minkowski_metric(c, 4)
-        params = dict(params or {}, c=c)
-        if kappa is not None:
-            params["kappa"] = kappa
         super().__init__(name, 4, 3, self._density, grad_fn=self._coeff_gradient,
-                         metric_hint=self.Lam, params=params,
-                         validator=lambda A, s: self.rho_of(coeffs_to_momentum(A)))
+                         metric_hint=self.Lam, params=dict(params or {}, c=c))
 
     @property
     def ultrarelativistic(self):
@@ -415,6 +411,8 @@ class RelativisticModel(LagrangianModel):
         r2 = (c * c) * m[0] * m[0]
         for mi in m[1:]:
             r2 = r2 - mi * mi
+        if np.any(value(r2) <= 0.0):
+            raise LuminalStateError("momentum is not strictly sub-luminal")
         return self.profile(dualnum.sqrt(r2), s)
 
     def _coeff_gradient(self, A, s):
@@ -467,15 +465,15 @@ def model_relativistic_powerlaw(kappa=4.0 / 3.0, c=1.0, mu=0.0,
         profile = lambda rho, s: rho ** kappa
     else:
         profile = lambda rho, s: dualnum.exp(mu * s) * rho ** kappa
-    return RelativisticModel(profile=profile, c=c, name=name,
-                             params={"kappa": kappa, "mu": mu}, kappa=kappa)
+    return RelativisticModel(profile, c=c, name=name,
+                             params={"kappa": kappa, "mu": mu})
 
 
 def model_relativistic_limit(c=1.0, name="relativistic-limit"):
     """L = rho^2, the boundary case kappa = 2 where genuine jumps are forced
     onto light-like interfaces."""
-    return RelativisticModel(profile=lambda rho, s: rho * rho, c=c,
-                             name=name, params={}, kappa=2.0)
+    return RelativisticModel(lambda rho, s: rho * rho, c=c, name=name,
+                             params={"kappa": 2.0})
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +637,10 @@ def coefficient_names(d, p):
 
 
 def _compile_expression(expr, names):
-    tree = ast.parse(expr.replace("^", "**"), mode="eval")
+    try:
+        tree = ast.parse(expr.replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {expr!r}: {exc.msg}") from None
 
     def check(node):
         if isinstance(node, ast.Expression):
@@ -709,23 +710,20 @@ def model_from_expression(expr, d, p, name="user-expr", metric_hint=None):
 # registry
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelEntry:
     factory: object
     summary: str
-    defaults: dict = field(default_factory=dict)
+
+    @property
+    def defaults(self):
+        """The factory's parameters with their default values."""
+        return {k: v.default for k, v in inspect.signature(self.factory).parameters.items()}
 
 
-def _gas_factory(n=1, gamma=2.0, mu=0.0, g="polytropic"):
-    if g != "polytropic":
-        raise ValueError("only the polytropic internal energy is registered")
+def _polytropic_gas(name, n, gamma, mu):
     return GasModel(n=int(n), internal_energy=polytropic_energy(gamma, mu),
-                    name="gas", params={"gamma": gamma, "mu": mu})
-
-
-def _gas_polytropic_factory(n=3, gamma=1.4, mu=1.0):
-    return GasModel(n=int(n), internal_energy=polytropic_energy(gamma, mu),
-                    name="gas-polytropic", params={"gamma": gamma, "mu": mu})
+                    name=name, params={"gamma": gamma, "mu": mu})
 
 
 def _user_expr_factory(expr=None, d=None, p=None):
@@ -736,42 +734,42 @@ def _user_expr_factory(expr=None, d=None, p=None):
 
 REGISTRY = {
     "iso-p1": ModelEntry(lambda d=2: model_isotropic_p1(d=int(d)),
-                         "isotropic 1-form density L = |A|^2 / 2", {"d": 2}),
+                         "isotropic 1-form density L = |A|^2 / 2"),
     "minimal-surface": ModelEntry(lambda d=3: model_minimal_surface(d=int(d)),
-                                  "area integrand L = sqrt(1 + |A|^2)", {"d": 3}),
-    "gas": ModelEntry(_gas_factory,
-                      "gas dynamics, L = |q|^2/(2 rho) - g(rho, s)",
-                      {"n": 1, "gamma": 2.0, "mu": 0.0}),
-    "gas-polytropic": ModelEntry(_gas_polytropic_factory,
-                                 "gas dynamics with entropy-coupled polytropic g",
-                                 {"n": 3, "gamma": 1.4, "mu": 1.0}),
+                                  "area integrand L = sqrt(1 + |A|^2)"),
+    "gas": ModelEntry(lambda n=1, gamma=2.0, mu=0.0: _polytropic_gas("gas", n, gamma, mu),
+                      "gas dynamics, L = |q|^2/(2 rho) - g(rho, s)"),
+    "gas-polytropic": ModelEntry(lambda n=3, gamma=1.4, mu=1.0:
+                                 _polytropic_gas("gas-polytropic", n, gamma, mu),
+                                 "gas dynamics with entropy-coupled polytropic g"),
     "relativistic": ModelEntry(lambda kappa=1.5, c=1.0: model_relativistic_powerlaw(
                                    kappa=float(kappa), c=float(c), name="relativistic"),
-                               "relativistic gas, L = rho^kappa",
-                               {"kappa": 1.5, "c": 1.0}),
+                               "relativistic gas, L = rho^kappa"),
     "relativistic-powerlaw": ModelEntry(lambda kappa=4.0 / 3.0, c=1.0, mu=0.0:
                                         model_relativistic_powerlaw(float(kappa), float(c), float(mu)),
-                                        "power-law relativistic gas, p = (kappa-1) e c^2",
-                                        {"kappa": 4.0 / 3.0, "c": 1.0, "mu": 0.0}),
+                                        "power-law relativistic gas, p = (kappa-1) e c^2"),
     "relativistic-limit": ModelEntry(lambda c=1.0: model_relativistic_limit(float(c)),
-                                     "limit case L = rho^2 (light-like jumps)",
-                                     {"c": 1.0}),
+                                     "limit case L = rho^2 (light-like jumps)"),
     "maxwell-linear": ModelEntry(lambda: model_maxwell_linear(),
-                                 "vacuum electromagnetism, L = (|E|^2 - |B|^2)/2", {}),
+                                 "vacuum electromagnetism, L = (|E|^2 - |B|^2)/2"),
     "maxwell-lorentz": ModelEntry(lambda: model_maxwell_lorentz(),
-                                  "nonlinear density in the frame invariants", {}),
+                                  "nonlinear density in the frame invariants"),
     "maxwell-anisotropic": ModelEntry(lambda: model_maxwell_anisotropic(),
-                                      "L = |E|^2, breaks the corrected symmetry", {}),
-    "user-expr": ModelEntry(_user_expr_factory,
-                            "density from an expression string",
-                            {"expr": None, "d": None, "p": None}),
+                                      "L = |E|^2, breaks the corrected symmetry"),
+    "user-expr": ModelEntry(_user_expr_factory, "density from an expression string"),
 }
 
 
 def build_model(name, params=None):
     if name not in REGISTRY:
         raise KeyError(f"unknown model {name!r}; known: {sorted(REGISTRY)}")
-    return REGISTRY[name].factory(**(params or {}))
+    entry = REGISTRY[name]
+    params = params or {}
+    unknown = sorted(set(params) - set(entry.defaults))
+    if unknown:
+        raise ValueError(f"model {name} has no parameter {', '.join(unknown)}; "
+                         f"it takes {', '.join(entry.defaults) or 'none'}")
+    return entry.factory(**params)
 
 
 def list_models():

@@ -23,7 +23,8 @@ import numpy as np
 
 from .conventions import coeffs_to_momentum, em_to_coeffs, momentum_to_coeffs
 from .exterior import PFormValue, form_basis
-from .models import EMState, GasState, RelativisticState, state_to_form
+from .models import (EMState, GasModel, GasState, MaxwellModel, RelativisticModel,
+                     RelativisticState, state_to_form)
 
 
 @dataclass
@@ -117,6 +118,14 @@ def assemble_nform(model, m, s=0.0):
     return TensorValue(nform_tensor_array(model, m, s), metric=model.metric_hint)
 
 
+def _require_family(model, state, family):
+    """A block form needs a model of its family and a state of that family's type."""
+    if not (isinstance(model, family) and isinstance(state, family.state_type)):
+        raise TypeError(f"this block form takes a {family.__name__} with a "
+                        f"{family.state_type.__name__}, got {type(model).__name__} "
+                        f"with {type(state).__name__}")
+
+
 def assemble_gas(model, state):
     """Gas block form and the modified tensor T' whose first row is m.
 
@@ -124,10 +133,11 @@ def assemble_gas(model, state):
          [q,                   q (x) q / rho + p I_n]]
     with p = rho g_rho - g; T' replaces row 0 by (rho, q) and is symmetric.
     """
-    if not isinstance(state, GasState):
-        raise TypeError("assemble_gas expects a GasState")
+    _require_family(model, state, GasModel)
     rho, q, s = state.rho, state.q, state.s
-    n = q.shape[0]
+    n = model.d - 1
+    if q.shape != (n,):
+        raise ValueError(f"{model.name} takes a q of length {n}, not {q.shape[0]}")
     g = float(model.internal_energy(rho, s))
     q2 = float(q @ q)
     p = float(model.pressure(rho, s))
@@ -150,8 +160,7 @@ def assemble_relativistic(model, state):
         rho L_rho u (x) u + (rho L_rho - L) Lam^{-1}
         (e c^2 + p) u (x) u + p Lam^{-1},   e = L / c^2, p = rho L_rho - L.
     """
-    if not isinstance(state, RelativisticState):
-        raise TypeError("assemble_relativistic expects a RelativisticState")
+    _require_family(model, state, RelativisticModel)
     m, s = state.m, state.s
     Lam = model.Lam
     Lam_inv = np.linalg.inv(Lam)
@@ -176,8 +185,7 @@ def assemble_maxwell(model, state):
     T = [[L - E . D,  (H x E)^T],
          [D x B,      (L + B . H) I_3 - E (x) D - H (x) B]]
     """
-    if not isinstance(state, EMState):
-        raise TypeError("assemble_maxwell expects an EMState")
+    _require_family(model, state, MaxwellModel)
     E, B, s = state.E, state.B, state.s
     D, H, _ = model.fields(E, B, s)
     L = float(model.evaluate(em_to_coeffs(E, B), s))
@@ -208,12 +216,23 @@ def symmetry_defect(tensor, S=None):
 
 
 def assemble(model, state):
-    """Assemble through the specialized route when the state type selects
-    one, otherwise through the general formula."""
-    if isinstance(state, GasState):
-        return assemble_gas(model, state)[0]
-    if isinstance(state, RelativisticState):
-        return assemble_relativistic(model, state)[0]
+    """The tensor at one state, as the fields of a report.
+
+    A state of a family's type goes through that family's block form:
+    ``tensor``, ``tensor_prime`` and ``pressure`` for gas and relativistic
+    states, ``tensor`` and ``tensor_tilde`` for an EMState.  Any other state
+    goes through the general formula and gives ``tensor`` alone.
+    """
     if isinstance(state, EMState):
-        return assemble_maxwell(model, state)[0]
-    return assemble_general(model, state_to_form(model, state))
+        T, Tt = assemble_maxwell(model, state)
+        return {"tensor": T.entries, "tensor_tilde": Tt.entries}
+    if isinstance(state, GasState):
+        T, Tp = assemble_gas(model, state)
+        rho = state.rho
+    elif isinstance(state, RelativisticState):
+        T, Tp = assemble_relativistic(model, state)
+        rho = model.rho_of(state.m)
+    else:
+        return {"tensor": assemble_general(model, state_to_form(model, state)).entries}
+    return {"tensor": T.entries, "tensor_prime": Tp.entries,
+            "pressure": float(model.pressure(rho, state.s))}

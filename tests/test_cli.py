@@ -200,13 +200,40 @@ def test_usage_errors_exit_1(capsys):
     ["jump", "--model", "gas", "--m-left", "[2.0,0.3]"],
     ["tensor", "--model", "gas", "--state", '{"rho": null, "q": [1]}'],
     ["tensor", "--model", "gas", "--state", '{"rho": 1.0, "q": [1], "s": null}'],
+    ["tensor", "--model", "gas", "--state", '{"rho": [1], "q": [1]}'],
+    ["tensor", "--model", "gas", "--state", '{"rho": 1, "q": [1], "s": [1]}'],
 ))
 def test_state_of_the_wrong_kind_is_an_input_error(capsys, argv):
+    assert_one_error_line(capsys, argv)
+
+
+def assert_one_error_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", (
+    ["tensor", "--model", "gas", "--params", "foo=1", "--state", '{"rho": 1.0, "q": [1]}'],
+    ["tensor", "--model", "gas", "--params", "g=polytropic", "--state", '{"rho": 1.0, "q": [1]}'],
+    ["tensor", "--model", "gas", "--state", '{"coeffs": [1, -1]}'],
+    ["tensor", "--model", "gas", "--state", '{"coeffs": [1, 0]}'],
+    ["tensor", "--model", "user-expr", "--params", 'expr=__import__("os"),d=2,p=1',
+     "--state", '{"coeffs": [1, 2]}'],
+    ["tensor", "--model", "user-expr", "--params", "expr=A0 +,d=2,p=1",
+     "--state", '{"coeffs": [1, 2]}'],
+))
+def test_bad_model_input_is_an_input_error(capsys, argv):
+    assert_one_error_line(capsys, argv)
+
+
+def test_verify_a_counterexample_above_its_floor(capsys):
+    code, out = run_cli(capsys, ["verify", "--manufactured", "gas-pressure-imbalance",
+                                 "--refine", "-n", "8", "--levels", "2"])
+    assert code == 0
+    assert min(r["residual"] for r in json.loads(out)["reports"]) >= 0.5
 
 
 def test_pretty_output_renders_scalars(capsys):

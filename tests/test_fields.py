@@ -36,7 +36,7 @@ from divfree import (
 )
 from divfree.exterior import pullback_coeffs
 from divfree.fields import _cd, _family_residual, _interior
-from divfree.manufactured import _BUILDERS, study_model
+from divfree.manufactured import CASES, study_model
 from divfree.models import GasState, RelativisticState
 
 
@@ -73,11 +73,21 @@ def test_grid_shape_validation():
                   entropy=np.zeros((4, 3)))
 
 
-@pytest.mark.parametrize("spacing", ((0.1, 0.0), (-0.1, 0.1), (0.1, np.nan),
-                                     (np.inf, 0.1)))
+DEGENERATE_SPACINGS = ((0.1, 0.0), (-0.1, 0.1), (0.1, np.nan), (np.inf, 0.1))
+
+
+@pytest.mark.parametrize("spacing", DEGENERATE_SPACINGS)
 def test_grid_rejects_a_degenerate_spacing(spacing):
     with pytest.raises(ValueError, match="spacing"):
         GridField(2, 1, (4, 4), spacing, (0.0, 0.0), np.zeros((4, 4, 2)))
+
+
+@pytest.mark.parametrize("spacing", DEGENERATE_SPACINGS)
+def test_variation_rejects_a_degenerate_spacing(spacing):
+    values = np.zeros((8, 8, 2))
+    values[3:5, 3:5] = 1.0
+    with pytest.raises(ValueError, match="spacing"):
+        VariationField((8, 8), spacing, (0.0, 0.0), values)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -215,7 +225,7 @@ def test_plane_wave_divergence_refines_row_by_row():
 
 
 def test_poynting_row_matches_the_time_row():
-    model, grid = _BUILDERS["maxwell-plane-wave"](8)
+    model, grid = CASES["maxwell-plane-wave"].build(8)
     div = div_T_residual(model, grid)
     poy = np.abs(np.asarray(poynting_residual(model, grid))).max()
     assert poy == div[0]  # same stencils, opposite sign
@@ -228,7 +238,7 @@ def test_prime_variant_carries_the_momentum_row():
     m = coeffs_to_momentum(g.values)
     assert np.abs(Tp[..., 0, :] - m).max() == 0.0
     mx = build_model("maxwell-linear")
-    wave = _BUILDERS["maxwell-plane-wave"](4)[1]
+    wave = CASES["maxwell-plane-wave"].build(4)[1]
     with pytest.raises(ValueError):
         tensor_grid(mx, wave, variant="prime")
 
@@ -353,6 +363,12 @@ def test_unconfined_variation_flows_off_the_grid():
                            values=0.5 * np.ones((8, 8, 2)), margin=0)
     with pytest.raises(FlowLeftGridError):
         first_variation(iso, g, drift, eps=0.05)
+
+
+def test_pressure_imbalance_stays_above_its_floor():
+    # the catalog's one divergence counterexample: closed, but not a solution
+    for n in (8, 16, 32):
+        assert run_case("gas-pressure-imbalance", n)["residual"] >= 0.5
 
 
 def test_entropy_advection_residual_refines():

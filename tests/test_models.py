@@ -45,6 +45,20 @@ def test_registry_lists_the_builtins():
         build_model("no-such-model")
 
 
+def test_registry_defaults_are_the_factory_signatures():
+    listed = {entry["name"]: entry["defaults"] for entry in list_models()}
+    assert listed["gas"] == {"n": 1, "gamma": 2.0, "mu": 0.0}
+    assert listed["relativistic-powerlaw"] == {"kappa": 4.0 / 3.0, "c": 1.0, "mu": 0.0}
+    assert listed["maxwell-linear"] == {}
+    assert listed["user-expr"] == {"expr": None, "d": None, "p": None}
+
+
+@pytest.mark.parametrize("params", ({"foo": 1}, {"g": "polytropic"}, {"n": 2, "kappa": 1.5}))
+def test_unknown_model_parameter_names_the_accepted_keys(params):
+    with pytest.raises(ValueError, match="n, gamma, mu"):
+        build_model("gas", params)
+
+
 def test_isotropic_hand_values():
     m = build_model("iso-p1")
     A = np.array([3.0, 4.0])
@@ -100,6 +114,14 @@ def test_relativistic_normalization_and_pressure():
         rel.rho_of(np.array([1.0, 2.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         RelativisticState(m=[1.0, 0.0])
+
+
+def test_relativistic_density_refuses_a_luminal_state():
+    rel = build_model("relativistic")
+    outside = momentum_to_coeffs(np.array([1.0, 2.0, 0.0, 0.0]))
+    for call in (rel.evaluate, rel.gradient, ad_gradient(rel)):
+        with pytest.raises(LuminalStateError):
+            call(outside)
 
 
 def test_powerlaw_pressure_identity_and_flag():
@@ -237,6 +259,14 @@ def test_expression_model_rejects_unknown_names():
         model_from_expression("__import__('os')", 2, 1)
 
 
+@pytest.mark.parametrize("expr", (
+    '__import__("os")', "A0.__class__", "A0 if s else A1", '"x"', "A0 < A1",
+    "A0[0]", "exp(x=A0)", "exp(A0, A1)", "not A0", "A0 // 2", "B0 + 1", "A0 +"))
+def test_expression_whitelist_rejects(expr):
+    with pytest.raises(ValueError):
+        model_from_expression(expr, 2, 1)
+
+
 def test_singular_radial_slope_is_refused():
     # a cone profile has slope 1 at the origin, so no gradient exists there
     cone = model_isotropic_p1(
@@ -246,6 +276,24 @@ def test_singular_radial_slope_is_refused():
         cone.gradient(np.zeros((1, 2)), 0.0)
     away = cone.gradient(np.array([[3.0, 4.0]]), 0.0)
     assert np.abs(away - np.array([[0.6, 0.8]])).max() < 1e-12
+
+
+@pytest.mark.parametrize("rho", (-1.0, 0.0))
+def test_gas_outside_positive_density_is_a_domain_error(rho):
+    gas = build_model("gas")
+    A = momentum_to_coeffs(np.array([rho, 1.0]))
+    for call in (gas.evaluate, gas.gradient, ad_gradient(gas)):
+        with pytest.raises(EvaluationDomainError):
+            call(A)
+    with pytest.raises(EvaluationDomainError):
+        gas.m_gradient(np.array([rho, 1.0]), 0.0)
+
+
+def test_gas_nan_density_flows_through():
+    gas = build_model("gas")
+    A = momentum_to_coeffs(np.array([np.nan, 1.0]))
+    assert np.isnan(gas.evaluate(A))
+    assert np.isnan(gas.gradient(A)).all()
 
 
 def test_nan_gradient_raises_domain_error():

@@ -124,15 +124,47 @@ def test_corrected_trace_tracks_the_exponent(kappa):
 
 def test_dispatch_selects_the_block_route():
     gas = build_model("gas")
-    assert np.abs(assemble(gas, GAS_WITNESS).entries
+    assert np.abs(assemble(gas, GAS_WITNESS)["tensor"]
                   - assemble_gas(gas, GAS_WITNESS)[0].entries).max() == 0.0
     mx = build_model("maxwell-linear")
-    assert np.abs(assemble(mx, EM_WITNESS).entries
+    assert np.abs(assemble(mx, EM_WITNESS)["tensor"]
                   - assemble_maxwell(mx, EM_WITNESS)[0].entries).max() == 0.0
     rel = build_model("relativistic")
     st = RelativisticState(m=[2.0, 0.3, -0.1, 0.2])
-    assert np.abs(assemble(rel, st).entries
+    assert np.abs(assemble(rel, st)["tensor"]
                   - assemble_relativistic(rel, st)[0].entries).max() == 0.0
+
+
+def test_assemble_returns_the_report_fields():
+    assert set(assemble(build_model("gas"), GAS_WITNESS)) == {"tensor", "tensor_prime", "pressure"}
+    rel = build_model("relativistic")
+    assert set(assemble(rel, RelativisticState(m=[2.0, 0.3, -0.1, 0.2]))) == {
+        "tensor", "tensor_prime", "pressure"}
+    assert set(assemble(build_model("maxwell-linear"), EM_WITNESS)) == {"tensor", "tensor_tilde"}
+    assert set(assemble(build_model("iso-p1"), PFormValue(2, 1, [3.0, 4.0]))) == {"tensor"}
+
+
+def test_block_forms_refuse_a_model_of_another_family():
+    gas = build_model("gas")
+    rel = build_model("relativistic")
+    with pytest.raises(TypeError):
+        assemble_maxwell(gas, EM_WITNESS)
+    with pytest.raises(TypeError):
+        assemble(gas, EM_WITNESS)
+    with pytest.raises(TypeError):
+        assemble_gas(rel, GAS_WITNESS)
+    with pytest.raises(TypeError):
+        assemble_relativistic(build_model("maxwell-linear"),
+                              RelativisticState(m=[2.0, 0.3, -0.1, 0.2]))
+    with pytest.raises(TypeError):
+        assemble_gas(gas, EM_WITNESS)
+
+
+def test_gas_block_form_refuses_a_q_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 1"):
+        assemble(build_model("gas"), GasState(rho=1.0, q=[1.0, 2.0]))
+    with pytest.raises(ValueError, match="length 3"):
+        assemble_gas(build_model("gas-polytropic"), GasState(rho=1.0, q=[1.0]))
 
 
 def test_nform_route_requires_codimension_one():
