@@ -146,6 +146,8 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
     on both certify the broken case, anything else is inconclusive.
     ``agreement`` records whether the two sides landed on the same side.
     """
+    if n_states < 1:
+        raise ValueError("need at least one state")
     S = check_metric(S)
     states = model.sample_states(np.random.default_rng(seed), n_states)
     inv = invariance_defect(model, S, states=states)

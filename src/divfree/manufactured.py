@@ -246,52 +246,38 @@ def closed_trig_form(d, p, seed, modes=2):
     table = exterior_derivative_table(d, p - 1)
     basis = form_basis(d, p)
 
-    def grad_lower(Y, slot, axis):
-        # d/dy_axis of the potential component in this slot
-        out = 0.0
-        for m in range(modes):
-            arg = 2 * math.pi * (Y @ ks[slot, m]) + phases[slot, m]
-            out = out + amps[slot, m] * 2 * math.pi * ks[slot, m, axis] * np.cos(arg)
-        return out
-
     def fn(Y):
+        # each (slot, mode) cosine feeds every derivative of its slot
+        cos = [[np.cos(2 * math.pi * (Y @ ks[slot, m]) + phases[slot, m])
+                for m in range(modes)] for slot in range(lower.size)]
+
+        def grad_lower(slot, axis):
+            # d/dy_axis of the potential component in this slot
+            out = 0.0
+            for m in range(modes):
+                out = out + amps[slot, m] * 2 * math.pi * ks[slot, m, axis] * cos[slot][m]
+            return out
+
         out = np.zeros(Y.shape[:-1] + (basis.size,))
         for J, terms in table:
             col = basis.index[J]
             acc = 0.0
             for axis, slot, sign in terms:
-                acc = acc + sign * grad_lower(Y, slot, axis)
+                acc = acc + sign * grad_lower(slot, axis)
             out[..., col] = acc + consts[col]
         return out
 
     return fn
 
 
-def _bump_profile(x, a, b):
-    """C^3 compactly supported profile ((x-a)(b-x))^4, normalized to peak 1.
-
-    The quartic seam keeps the third derivative continuous, so the seam
-    contributes only at fourth order to central-difference sums and the
-    interior h^2 term always dominates refinement studies.
-    """
-    x = np.asarray(x, dtype=float)
-    mid = ((b - a) / 2.0) ** 8
-    y = (x - a) * (b - x)
-    y2 = y * y
-    return np.where((x > a) & (x < b), y2 * y2 / mid, 0.0)
-
-
-def _bump_profile_deriv(x, a, b):
-    x = np.asarray(x, dtype=float)
-    mid = ((b - a) / 2.0) ** 8
-    y = (x - a) * (b - x)
-    dy = (a + b) - 2.0 * x
-    return np.where((x > a) & (x < b), 4.0 * (y * y * y) * dy / mid, 0.0)
-
-
 def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
     """Smooth compactly supported velocity field for flow variations:
     a product of per-axis bumps times per-component trig modulation.
+
+    Each axis bump is the C^3 profile ((x-a)(b-x))^4, normalized to peak 1.
+    The quartic seam keeps the third derivative continuous, so the seam
+    contributes only at fourth order to central-difference sums and the
+    interior h^2 term always dominates refinement studies.
 
     The default support keeps a two-node margin free down to 7 nodes per
     axis while staying as wide (hence as gently curved) as possible.
@@ -301,39 +287,48 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
     cs = rng.uniform(0.5, 1.0, d) * rng.choice([-1.0, 1.0], d)
     ks = rng.integers(-1, 2, (d, d))
     phases = rng.uniform(0.0, 2 * math.pi, d)
+    mid = ((b - a) / 2.0) ** 8
 
-    def pieces(Y, with_deriv):
-        bump_ax = [_bump_profile(Y[..., ax], a, b) for ax in range(d)]
-        prod = bump_ax[0].copy()
-        for ax in range(1, d):
-            prod = prod * bump_ax[ax]
-        mods = []
-        dmods = []
-        for i in range(d):
-            arg = 2 * math.pi * (Y @ ks[i]) + phases[i]
-            mods.append(cs[i] + 0.5 * np.sin(arg))
-            if with_deriv:
-                dmods.append(math.pi * np.cos(arg))   # d/darg of 0.5 sin, times 2pi k below
-        return bump_ax, prod, mods, dmods
-
-    def value_from(prod, mods):
-        return np.stack([prod * mods[i] for i in range(d)], axis=-1)
+    def pieces(Y):
+        # the clamp zeroes each profile and its derivative off the support
+        ys = [np.maximum((Y[..., ax] - a) * (b - Y[..., ax]), 0.0) for ax in range(d)]
+        bumps = []
+        for y in ys:
+            y2 = y * y
+            bumps.append(y2 * y2 / mid)
+        prod = bumps[0]
+        for bump in bumps[1:]:
+            prod = prod * bump
+        args = [2 * math.pi * (Y @ ks[i]) + phases[i] for i in range(d)]
+        mods = [cs[i] + 0.5 * np.sin(arg) for i, arg in enumerate(args)]
+        value = np.stack([prod * mod for mod in mods], axis=-1)
+        return ys, bumps, prod, args, mods, value
 
     def func(Y):
-        _, prod, mods, _ = pieces(Y, with_deriv=False)
-        return value_from(prod, mods)
+        return pieces(Y)[-1]
 
     def func_jac(Y):
-        bump_ax, prod, mods, dmods = pieces(Y, with_deriv=True)
-        jac = np.empty(Y.shape[:-1] + (d, d))
-        for j in range(d):
-            prod_dj = _bump_profile_deriv(Y[..., j], a, b)
+        ys, bumps, prod, args, mods, value = pieces(Y)
+        prod_d = []
+        for j, y in enumerate(ys):
+            dp = 4.0 * (y * y * y) * ((a + b) - 2.0 * Y[..., j]) / mid
             for ax in range(d):
                 if ax != j:
-                    prod_dj = prod_dj * bump_ax[ax]
-            for i in range(d):
-                jac[..., i, j] = prod_dj * mods[i] + prod * dmods[i] * ks[i, j]
-        return value_from(prod, mods), jac
+                    dp = dp * bumps[ax]
+            prod_d.append(dp)
+        jac = np.empty(Y.shape[:-1] + (d, d))
+        for i in range(d):
+            # d/darg of 0.5 sin is 0.5 cos; the chain factor 2 pi k_ij is
+            # an add, a subtract or nothing since k_ij is -1, 0 or 1
+            prod_dmod = prod * (math.pi * np.cos(args[i]))
+            for j in range(d):
+                col = prod_d[j] * mods[i]
+                if ks[i, j] > 0:
+                    col += prod_dmod
+                elif ks[i, j] < 0:
+                    col -= prod_dmod
+                jac[..., i, j] = col
+        return value, jac
 
     return VariationField.from_function(func, dims, spacing, func_jac=func_jac)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -721,21 +722,30 @@ class ModelEntry:
         return {k: v.default for k, v in inspect.signature(self.factory).parameters.items()}
 
 
+def _integer(key, value):
+    """An integer-valued parameter as an int; int() alone would truncate
+    n = 1.5 to 1 and build a model nobody asked for."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"parameter {key} must be an integer, not {value!r}")
+
+
 def _polytropic_gas(name, n, gamma, mu):
-    return GasModel(n=int(n), internal_energy=polytropic_energy(gamma, mu),
+    return GasModel(n=_integer("n", n), internal_energy=polytropic_energy(gamma, mu),
                     name=name, params={"gamma": gamma, "mu": mu})
 
 
 def _user_expr_factory(expr=None, d=None, p=None):
     if expr is None or d is None or p is None:
         raise ValueError("user-expr requires expr, d and p parameters")
-    return model_from_expression(str(expr), int(d), int(p))
+    return model_from_expression(str(expr), _integer("d", d), _integer("p", p))
 
 
 REGISTRY = {
-    "iso-p1": ModelEntry(lambda d=2: model_isotropic_p1(d=int(d)),
+    "iso-p1": ModelEntry(lambda d=2: model_isotropic_p1(d=_integer("d", d)),
                          "isotropic 1-form density L = |A|^2 / 2"),
-    "minimal-surface": ModelEntry(lambda d=3: model_minimal_surface(d=int(d)),
+    "minimal-surface": ModelEntry(lambda d=3: model_minimal_surface(d=_integer("d", d)),
                                   "area integrand L = sqrt(1 + |A|^2)"),
     "gas": ModelEntry(lambda n=1, gamma=2.0, mu=0.0: _polytropic_gas("gas", n, gamma, mu),
                       "gas dynamics, L = |q|^2/(2 rho) - g(rho, s)"),

@@ -224,9 +224,23 @@ def assert_one_error_line(capsys, argv):
      "--state", '{"coeffs": [1, 2]}'],
     ["tensor", "--model", "user-expr", "--params", "expr=A0 +,d=2,p=1",
      "--state", '{"coeffs": [1, 2]}'],
+    # a fractional dimension or degree names no model
+    ["tensor", "--model", "gas", "--params", "n=1.5", "--state", '{"coeffs": [0.4, 1.3]}'],
+    ["tensor", "--model", "iso-p1", "--params", "d=1.9", "--state", '{"coeffs": [1]}'],
+    ["tensor", "--model", "minimal-surface", "--params", "d=2.5",
+     "--state", '{"coeffs": [1, 2]}'],
+    ["tensor", "--model", "user-expr", "--params", "expr=A0 * A0,d=2,p=1.5",
+     "--state", '{"coeffs": [1, 2]}'],
 ))
 def test_bad_model_input_is_an_input_error(capsys, argv):
     assert_one_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("n_states", ("0", "-3"))
+def test_invariance_needs_a_state(capsys, n_states):
+    assert main(["invariance", "--model", "gas", "--n-states", n_states]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: need at least one state\n")
 
 
 def test_verify_a_counterexample_above_its_floor(capsys):

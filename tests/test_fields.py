@@ -260,6 +260,40 @@ def test_discrete_summation_by_parts_is_exact():
     assert abs(pairing - total) < 1e-13 * max(1.0, abs(total))
 
 
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_bump_jacobian_matches_differences_of_its_values(d):
+    a, b = 0.2, 0.75
+    var = bump_variation(d, (10,) * d, (0.1,) * d, seed=202 + d, support=(a, b))
+    rng = np.random.default_rng(d)
+    inside = rng.uniform(a, b, (40, d))
+    outside = rng.uniform(a, b, (40, d))
+    outside[:20, 0] = rng.uniform(0.0, a, 20)
+    outside[20:, d - 1] = rng.uniform(b, 1.0, 20)
+    # one coordinate within 1e-3 of the seam, on either side of it
+    seam = rng.uniform(a, b, (40, d))
+    seam[:, 0] = np.where(np.arange(40) % 2, a, b) + rng.uniform(-1e-3, 1e-3, 40)
+    Y = np.concatenate([inside, outside, seam])
+    v, J = var.func_jac(Y)
+    assert not np.any(v[40:80]) and not np.any(J[40:80])
+    delta = 1e-5
+    for j in range(d):
+        step = np.zeros(d)
+        step[j] = delta
+        diff = (var.func_jac(Y + step)[0] - var.func_jac(Y - step)[0]) / (2 * delta)
+        assert np.abs(J[..., j] - diff).max() <= 1e-6 * max(1.0, np.abs(J).max())
+
+
+@pytest.mark.parametrize("d, n", ((2, 14), (3, 9), (4, 7)))
+def test_bump_value_half_is_the_sampled_field(d, n):
+    h = 1.0 / n
+    var = bump_variation(d, (n,) * d, (h,) * d, seed=202)
+    axes = [h * np.arange(n) for _ in range(d)]
+    Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    v, _ = var.func_jac(Y)
+    assert var.values.any()
+    assert v.tobytes() == var.values.tobytes()
+
+
 def _full_grid_first_variation(model, grid, var, eps, substeps=8):
     """Reference numeric derivative: the classical RK4 flow of every grid
     node, with the functional summed over all of them."""

@@ -59,6 +59,16 @@ def test_unknown_model_parameter_names_the_accepted_keys(params):
         build_model("gas", params)
 
 
+@pytest.mark.parametrize("name, key", (("gas", "n"), ("gas-polytropic", "n"),
+                                       ("iso-p1", "d"), ("minimal-surface", "d")))
+def test_dimension_parameters_are_integers(name, key):
+    for bad in (1.5, 2.9, True, "2", float("nan")):
+        with pytest.raises(ValueError, match=f"parameter {key} must be an integer"):
+            build_model(name, {key: bad})
+    # an integral float names the same model as the int
+    assert build_model(name, {key: 3.0}).d == build_model(name, {key: 3}).d
+
+
 def test_isotropic_hand_values():
     m = build_model("iso-p1")
     A = np.array([3.0, 4.0])
