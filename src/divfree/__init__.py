@@ -12,7 +12,6 @@ from .exterior import (
     canonicalize,
     enumerate_subsets,
     form_basis,
-    infinitesimal_pullback,
     infinitesimal_pullback_coeffs,
     minor,
     pfaffian_2form,

@@ -252,23 +252,18 @@ def _infinitesimal_table(d, p):
 
 
 def infinitesimal_pullback_coeffs(N, A, d, p):
+    """First-order coefficients of the pullback along exp(t N) at t = 0.
+
+    Exactly the t-derivative of ``pullback_coeffs(expm(t N), A, d, p)``; in
+    relaxed index notation the target coefficient B_{jK} collects n_ij A_{iK}
+    over all i outside K.
+    """
     N = np.asarray(N, dtype=float)
     A = np.asarray(A, dtype=float)
     B = np.zeros_like(A)
     for slot_j, slot_i, i, j, sign in _infinitesimal_table(d, p):
         B[..., slot_j] += sign * N[..., i, j] * A[..., slot_i]
     return B
-
-
-def infinitesimal_pullback(N, form):
-    """First-order coefficient of the pullback along exp(t N) at t = 0.
-
-    Exactly the t-derivative of ``pullback(expm(t N), form)``; in relaxed
-    index notation the target coefficient B_{jK} collects n_ij A_{iK} over
-    all i outside K.  Entropy passes through unchanged.
-    """
-    B = infinitesimal_pullback_coeffs(N, form.coeffs, form.d, form.p)
-    return form.with_coeffs(B)
 
 
 def pfaffian_2form(form):

@@ -393,14 +393,30 @@ def _flow_with_jacobian(var, Y, tau, substeps):
     """Backward flow w' = -xi(w) over time tau with the Jacobian of the map,
     classical RK4 on the augmented system.  The stages hold (xi, J G), the
     right-hand side without its sign, and the step -tau / substeps carries
-    the sign instead."""
+    the sign instead.
+
+    G and its stages are component-major, (d, d, N), so J @ G is d^3
+    multiply-adds on contiguous rows; G returns as an (N, d, d) view.
+    """
+    d = Y.shape[-1]
     w = np.array(Y, dtype=float)
-    G = np.broadcast_to(np.eye(Y.shape[-1]), Y.shape + (Y.shape[-1],)).copy()
+    G = np.zeros((d, d) + Y.shape[:-1])
+    G[range(d), range(d)] = 1.0
     h = -tau / substeps
+    scratch = np.empty(Y.shape[:-1])
 
     def rhs(wc, Gc):
         v, J = var.value_and_jacobian(wc)
-        return v, J @ Gc
+        J = np.moveaxis(J, (-2, -1), (0, 1))
+        JG = np.empty_like(Gc)
+        for i in range(d):
+            for k in range(d):
+                acc = JG[i, k]
+                np.multiply(J[i, 0], Gc[0, k], out=acc)
+                for j in range(1, d):
+                    np.multiply(J[i, j], Gc[j, k], out=scratch)
+                    np.add(acc, scratch, out=acc)
+        return v, JG
 
     for _ in range(substeps):
         k1 = rhs(w, G)
@@ -409,7 +425,7 @@ def _flow_with_jacobian(var, Y, tau, substeps):
         k4 = rhs(w + h * k3[0], G + h * k3[1])
         w = w + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         G = G + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return w, G
+    return w, np.moveaxis(G, (0, 1), (-2, -1))
 
 
 def first_variation(model, grid, var, eps, substeps=8):

@@ -316,19 +316,20 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
                 if ax != j:
                     dp = dp * bumps[ax]
             prod_d.append(dp)
-        jac = np.empty(Y.shape[:-1] + (d, d))
+        # filled component-major, so each entry is one contiguous row; the
+        # flow turns the returned (..., d, d) view back into those rows
+        jac = np.empty((d, d) + Y.shape[:-1])
         for i in range(d):
             # d/darg of 0.5 sin is 0.5 cos; the chain factor 2 pi k_ij is
             # an add, a subtract or nothing since k_ij is -1, 0 or 1
             prod_dmod = prod * (math.pi * np.cos(args[i]))
             for j in range(d):
-                col = prod_d[j] * mods[i]
+                col = np.multiply(prod_d[j], mods[i], out=jac[i, j, ...])
                 if ks[i, j] > 0:
                     col += prod_dmod
                 elif ks[i, j] < 0:
                     col -= prod_dmod
-                jac[..., i, j] = col
-        return value, jac
+        return value, np.moveaxis(jac, (0, 1), (-2, -1))
 
     return VariationField.from_function(func, dims, spacing, func_jac=func_jac)
 

@@ -71,20 +71,33 @@ def _assembly_table(d, p):
 
 def general_tensor_array(model, A, s=0.0):
     """Batched tensor assembly; A has trailing axis C(d, p), result gains
-    trailing axes (d, d)."""
+    trailing axes (d, d).
+
+    The result is a (..., d, d) view of a component-major (d, d, ...)
+    buffer, so each T[..., i, j] is contiguous but T is not C-contiguous.
+    The buffer is new on every call and nothing else refers to it.  A
+    caller that needs cell-major memory takes ``.copy(order="C")``; a plain
+    ``.copy()``, as in tensor_grid's prime variant, keeps the layout.
+    """
     A = np.asarray(A, dtype=float)
     L = np.asarray(model.evaluate(A, s), dtype=float)
     G = model.gradient(A, s)
     d = model.d
-    T = np.zeros(L.shape + (d, d))
-    table = _assembly_table(d, model.p)
-    for i in range(d):
-        for j in range(d):
-            acc = 0.0
-            for slot_i, slot_j, sign in table[(i, j)]:
-                acc = acc + sign * A[..., slot_i] * G[..., slot_j]
-            T[..., i, j] = (L if i == j else 0.0) - acc
-    return T
+    # component-major copies, as lists so that picking a row costs no
+    # numpy indexing; transpose is np.moveaxis without its per-call overhead
+    A = list(A.transpose(-1, *range(A.ndim - 1)).copy())
+    G = list(G.transpose(-1, *range(G.ndim - 1)).copy())
+    T = np.zeros((d, d) + L.shape)
+    scratch = np.empty(L.shape)
+    # each entry sums its terms onto 0.0 in table order, then takes the
+    # diagonal's L or 0.0 minus that sum: the cell-major loop's arithmetic
+    for (i, j), terms in _assembly_table(d, model.p).items():
+        acc = T[i, j, ...]
+        for slot_i, slot_j, sign in terms:
+            np.multiply(A[slot_i], G[slot_j], out=scratch)
+            (np.add if sign > 0 else np.subtract)(acc, scratch, out=acc)
+        np.subtract(L if i == j else 0.0, acc, out=acc)
+    return T.transpose(tuple(range(2, T.ndim)) + (0, 1))
 
 
 def assemble_general(model, form, s=0.0):

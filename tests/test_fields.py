@@ -334,7 +334,7 @@ def _sampled_block_variation(d, n, seed):
 
 
 @pytest.mark.parametrize("d, p, n, sampled", ((2, 1, 16, False), (3, 2, 12, False),
-                                              (2, 1, 16, True)))
+                                              (4, 3, 8, False), (2, 1, 16, True)))
 def test_first_variation_matches_the_full_grid_flow(d, p, n, sampled):
     h = 1.0 / n
     grid = GridField.from_function(

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from divfree import (
+    GridField,
     PFormValue,
     TensorValue,
     assemble,
@@ -14,14 +15,17 @@ from divfree import (
     build_model,
     coeffs_to_momentum,
     em_to_coeffs,
+    list_models,
     minkowski_metric,
     momentum_to_coeffs,
     state_to_form,
     symmetry_defect,
+    tensor_grid,
     typed_state,
 )
-from divfree.models import EMState, GasState, RelativisticState
-from divfree.tensors import general_tensor_array
+from divfree.manufactured import closed_trig_form, study_model
+from divfree.models import EMState, GasState, LagrangianModel, RelativisticState
+from divfree.tensors import _assembly_table, general_tensor_array
 
 from helpers import rel_gap, sampled_states
 
@@ -195,6 +199,67 @@ def test_batched_assembly_matches_the_loop():
     for k in range(17):
         single = general_tensor_array(gas, A[k], float(s[k]))
         assert np.abs(batch[k] - single).max() < 1e-14
+
+
+def _cell_major_tensor_array(model, A, s=0.0):
+    """Reference assembly: the cell-major loop over (i, j) that
+    general_tensor_array restates component-major, kept to pin it bitwise."""
+    A = np.asarray(A, dtype=float)
+    L = np.asarray(model.evaluate(A, s), dtype=float)
+    G = model.gradient(A, s)
+    d = model.d
+    T = np.zeros(L.shape + (d, d))
+    table = _assembly_table(d, model.p)
+    for i in range(d):
+        for j in range(d):
+            acc = 0.0
+            for slot_i, slot_j, sign in table[(i, j)]:
+                acc = acc + sign * A[..., slot_i] * G[..., slot_j]
+            T[..., i, j] = (L if i == j else 0.0) - acc
+    return T
+
+
+def _same_bits(a, b):
+    """Equal shapes, values and signs of zero."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+USER_EXPR = {"expr": "A0^2/2 + s*A1 + exp(-A1^2)", "d": 2, "p": 1}
+
+
+@pytest.mark.parametrize("name", [m["name"] for m in list_models()])
+def test_assembly_is_the_cell_major_loop_bit_for_bit(name):
+    model = build_model(name, USER_EXPR if name == "user-expr" else None)
+    A, s = sampled_states(model, 23, seed=16)
+    assert _same_bits(general_tensor_array(model, A, s), _cell_major_tensor_array(model, A, s))
+    # one state: L is 0-d and every row of the component-major buffer a scalar
+    one = general_tensor_array(model, A[0], float(s[0]))
+    assert one.shape == (model.d, model.d)
+    assert _same_bits(one, _cell_major_tensor_array(model, A[0], float(s[0])))
+
+
+def test_assembly_keeps_the_signs_of_zero_products():
+    mx = build_model("maxwell-linear")
+    A = np.array([[0.0, -0.0, 0.5, 0.0, -1.0, 0.0], [0.0] * 6])
+    assert _same_bits(general_tensor_array(mx, A), _cell_major_tensor_array(mx, A))
+    # L = -0.0 and dL/dA = -0.0 at A = 0: the loop's 0.0 + A G turns the first
+    # -0.0 product into +0.0, and L - 0.0 then keeps the diagonal at -0.0
+    neg = LagrangianModel("neg-iso", 2, 1, lambda c, s: -0.5 * (c[0] * c[0] + c[1] * c[1]))
+    zero = np.zeros((3, 2))
+    assert _same_bits(general_tensor_array(neg, zero), _cell_major_tensor_array(neg, zero))
+
+
+def test_grid_assembly_is_the_cell_major_loop_and_shares_no_memory():
+    model = study_model(3, 2, seed=0)
+    grid = GridField.from_function(closed_trig_form(3, 2, seed=101), 3, 2, (6, 7, 8),
+                                   (0.125,) * 3, entropy_fn=lambda Y: np.sin(Y[..., 0]))
+    general = tensor_grid(model, grid)
+    assert _same_bits(general, _cell_major_tensor_array(model, grid.values, grid.entropy))
+    before = general.copy()
+    prime = tensor_grid(model, grid, "prime")
+    assert _same_bits(general, before)
+    assert _same_bits(prime[..., 1:, :], general[..., 1:, :])
 
 
 def test_tensor_value_validation():
