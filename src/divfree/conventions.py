@@ -31,7 +31,8 @@ Electromagnetic identification (d = 4, p = 2).  With axis 0 = time,
 i.e. the spatial slots carry B through the 3-index permutation signature.
 Closedness of the form is the magnetic half of the field equations
 (d/dt B + curl E = 0, div B = 0).  With D = dL/dE and H = -dL/dB the
-coefficient-space gradient is
+coefficient-space gradient is the same identification applied to (D, -H),
+em_to_coeffs(D, -H):
 
     g_{(0,j)} = -D_j,   g_{(1,2)} = -H_3,   g_{(1,3)} = +H_2,   g_{(2,3)} = -H_1.
 
@@ -137,25 +138,3 @@ def em_components(coeffs):
     E = [-coeffs[0], -coeffs[1], -coeffs[2]]
     B = [coeffs[5], -coeffs[4], coeffs[3]]
     return E, B
-
-
-def em_gradient_to_coeffs(D, H):
-    """Coefficient-space gradient from the material fields D = dL/dE,
-    H = -dL/dB."""
-    D = np.asarray(D, dtype=float)
-    H = np.asarray(H, dtype=float)
-    out = np.zeros(np.broadcast(D, H).shape[:-1] + (6,))
-    out[..., 0] = -D[..., 0]
-    out[..., 1] = -D[..., 1]
-    out[..., 2] = -D[..., 2]
-    out[..., 3] = -H[..., 2]
-    out[..., 4] = H[..., 1]
-    out[..., 5] = -H[..., 0]
-    return out
-
-
-def coeffs_to_em_gradient(g):
-    g = np.asarray(g, dtype=float)
-    D = np.stack([-g[..., 0], -g[..., 1], -g[..., 2]], axis=-1)
-    H = np.stack([-g[..., 5], g[..., 4], -g[..., 3]], axis=-1)
-    return D, H

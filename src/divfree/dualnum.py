@@ -81,24 +81,20 @@ class Dual:
 
     # comparisons look only at the value channel
     def __lt__(self, other):
-        return self.val < _value(other)
+        return self.val < value(other)
 
     def __le__(self, other):
-        return self.val <= _value(other)
+        return self.val <= value(other)
 
     def __gt__(self, other):
-        return self.val > _value(other)
+        return self.val > value(other)
 
     def __ge__(self, other):
-        return self.val >= _value(other)
+        return self.val >= value(other)
 
 
 def _is_array(x):
     return isinstance(x, np.ndarray)
-
-
-def _value(x):
-    return x.val if isinstance(x, Dual) else x
 
 
 def value(x):

@@ -48,28 +48,6 @@ def canonicalize(raw, d=None):
     return ordered, (-1 if inversions % 2 else 1)
 
 
-def between_sign(i, j, K):
-    """Sign (-1)^q with q the number of elements of K strictly between i and j.
-
-    This is the relative parity of inserting i versus j into the sorted tuple
-    K; it is symmetric in (i, j).  Endpoints must be distinct and not in K.
-    """
-    if i == j:
-        raise ValueError("between_sign requires distinct endpoints")
-    if i in K or j in K:
-        raise ValueError("endpoints must not belong to K")
-    lo, hi = (i, j) if i < j else (j, i)
-    q = sum(1 for k in K if lo < k < hi)
-    return -1 if q % 2 else 1
-
-
-def enumerate_subsets(d, p):
-    """All strictly increasing p-tuples from range(d), lexicographically."""
-    if d < 0 or not 0 <= p <= d:
-        raise ValueError(f"no degree-{p} tuples in dimension {d}")
-    return list(itertools.combinations(range(d), p))
-
-
 class FormBasis:
     """Canonical storage layout for degree-p coefficients in dimension d.
 
@@ -122,38 +100,6 @@ class PFormValue:
                 f"got shape {coeffs.shape}"
             )
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def basis(self):
-        return form_basis(self.d, self.p)
-
-    def __getitem__(self, raw):
-        """Coefficient read through an arbitrarily ordered tuple."""
-        k, sign = self.basis.slot(raw)
-        if sign == 0:
-            return 0.0
-        return sign * float(self.coeffs[k])
-
-    def as_dict(self):
-        return {J: float(v) for J, v in zip(self.basis.tuples, self.coeffs)}
-
-    def with_coeffs(self, coeffs):
-        return PFormValue(self.d, self.p, coeffs, self.entropy)
-
-    @classmethod
-    def from_dict(cls, d, p, mapping, entropy=None):
-        """Build from {tuple: value}; non-canonical tuples fold in their sign,
-        and the same canonical slot may be hit several times (accumulates)."""
-        basis = form_basis(d, p)
-        coeffs = np.zeros(basis.size)
-        for raw, val in mapping.items():
-            k, sign = basis.slot(tuple(raw))
-            if sign == 0:
-                if val != 0:
-                    raise ValueError(f"repeated index in {raw} with nonzero value")
-                continue
-            coeffs[k] += sign * float(val)
-        return cls(d, p, coeffs, entropy)
 
 
 def _det_batch(sub):
@@ -219,16 +165,6 @@ def pullback_coeffs(M, A, d, p):
     return np.einsum("...i,...ij->...j", A, P)
 
 
-def pullback(M, form):
-    """Pullback of a PFormValue by the linear map y -> M y.
-
-    Composition convention: pullback(M1 @ M2, a) == pullback(M2, pullback(M1, a)).
-    The entropy slot passes through unchanged.
-    """
-    B = pullback_coeffs(M, form.coeffs, form.d, form.p)
-    return form.with_coeffs(B)
-
-
 @lru_cache(maxsize=None)
 def _infinitesimal_table(d, p):
     # terms (slot_J, slot_I, i, j, sign): B[slot_J] += sign * N[i, j] * A[slot_I]
@@ -264,20 +200,6 @@ def infinitesimal_pullback_coeffs(N, A, d, p):
     for slot_j, slot_i, i, j, sign in _infinitesimal_table(d, p):
         B[..., slot_j] += sign * N[..., i, j] * A[..., slot_i]
     return B
-
-
-def pfaffian_2form(form):
-    """E . B invariant of a 2-form in dimension 4.
-
-    Under the electromagnetic identification (A_{j0} = E_j, spatial slots
-    carrying B through the 3-index signature) this equals the dot product
-    E . B; it squares to the determinant of the antisymmetric coefficient
-    matrix.  Only defined for (d, p) = (4, 2).
-    """
-    if (form.d, form.p) != (4, 2):
-        raise ValueError("pfaffian is defined for 2-forms in dimension 4 only")
-    a = form.coeffs  # order (0,1),(0,2),(0,3),(1,2),(1,3),(2,3)
-    return float(-(a[0] * a[5] - a[1] * a[4] + a[2] * a[3]))
 
 
 @lru_cache(maxsize=None)

@@ -278,17 +278,6 @@ def div_T_residual(model, grid, variant="general"):
     return np.abs(rows).max(axis=tuple(range(grid.d)))
 
 
-def mass_conservation_residual(grid):
-    """Max-norm of d/dt rho + div q for a momentum-form grid; identical by
-    construction to row 0 of Div T'."""
-    _require_interior(grid)
-    m = coeffs_to_momentum(grid.values)
-    acc = 0.0
-    for a in range(grid.d):
-        acc = acc + _cd(m[..., a], a, grid.spacing[a], grid.d)
-    return float(np.abs(acc).max())
-
-
 def poynting_residual(model, grid):
     """Interior-node field of d/dt W + div(E x H) for an electromagnetic
     grid.  Row 0 of Div T is its negation up to rounding: the same stencils
@@ -593,15 +582,14 @@ def rankine_hugoniot(model, interface):
     return report
 
 
-def limit_jump_states(model, m_left, nu, lam):
-    """One-parameter jump family for the limit density L = rho^2:
-    m_right = m_left + lam Lam^{-1} nu.  On a light-like interface every lam
-    satisfies the jump conditions exactly."""
-    Lam_inv = np.linalg.inv(model.Lam)
-    return np.asarray(m_left, dtype=float) + lam * (Lam_inv @ np.asarray(nu, dtype=float))
+# signed step lengths along each candidate direction, and the number of
+# golden-section steps that refine the best angle of the coarse scan
+_LAM_GRID = np.concatenate([-np.geomspace(1e-2, 1.0, 24)[::-1],
+                            np.geomspace(1e-2, 1.0, 24)])
+_REFINE_ITERS = 80
 
 
-def _family_residual(model, nu, m_left, rho_jump_min, lam_grid):
+def _family_residual(model, nu, m_left, rho_jump_min):
     """Smallest jump residual over candidate right states with a genuine
     density jump; the residual couples |[T] nu| with |[m . nu]|."""
     nu = np.asarray(nu, dtype=float)
@@ -613,10 +601,11 @@ def _family_residual(model, nu, m_left, rho_jump_min, lam_grid):
     base = np.linalg.svd(nu[None, :])[2][1:]
     dirs.extend(base)
     rho_L = float(model.rho_of(m_left))
+    T_L = general_tensor_array(model, momentum_to_coeffs(m_left[None, :]), 0.0)
     best = np.inf
     for w in dirs:
         wn = w / np.linalg.norm(w)
-        m_R = m_left[None, :] + lam_grid[:, None] * wn[None, :]
+        m_R = m_left[None, :] + _LAM_GRID[:, None] * wn[None, :]
         r2 = model.rho_sq(m_R)
         ok = r2 > 1e-10
         if not ok.any():
@@ -627,10 +616,7 @@ def _family_residual(model, nu, m_left, rho_jump_min, lam_grid):
         if not ok2.any():
             continue
         m_R = m_R[ok2]
-        A_R = momentum_to_coeffs(m_R)
-        A_L = momentum_to_coeffs(m_left[None, :])
-        T_R = general_tensor_array(model, A_R, 0.0)
-        T_L = general_tensor_array(model, A_L, 0.0)
+        T_R = general_tensor_array(model, momentum_to_coeffs(m_R), 0.0)
         jump = np.abs((T_R - T_L) @ nu).max(axis=-1)
         m_nu = np.abs((m_R - m_left[None, :]) @ nu)
         resid = np.maximum(jump, m_nu)
@@ -638,8 +624,7 @@ def _family_residual(model, nu, m_left, rho_jump_min, lam_grid):
     return best
 
 
-def lightlike_normal_search(model, m_left, rho_jump_min=0.05,
-                            lam_grid=None, coarse=121, refine_iters=80):
+def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
     """Brute-force one-parameter search over interface normals
     nu(theta) = (cos theta, sin theta, 0, 0) for the angle admitting a
     genuine jump of the limit density.
@@ -651,16 +636,13 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05,
     if not isinstance(model, RelativisticModel):
         raise ValueError(f"the light-like normal search needs a relativistic "
                          f"model, not {model.name}")
-    if lam_grid is None:
-        lam_grid = np.concatenate([-np.geomspace(1e-2, 1.0, 24)[::-1],
-                                   np.geomspace(1e-2, 1.0, 24)])
     m_left = np.asarray(m_left, dtype=float)
 
     def nu_of(theta):
         return np.array([math.cos(theta), math.sin(theta), 0.0, 0.0])
 
     def objective(theta):
-        return _family_residual(model, nu_of(theta), m_left, rho_jump_min, lam_grid)
+        return _family_residual(model, nu_of(theta), m_left, rho_jump_min)
 
     thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, coarse)
     vals = [objective(t) for t in thetas]
@@ -671,7 +653,7 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05,
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_ITERS):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)

@@ -17,12 +17,9 @@ though individual generators transform differently under transposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .exterior import infinitesimal_pullback_coeffs, pullback_matrix
-from .models import model_quadratic
+from .exterior import infinitesimal_pullback_coeffs
 from .tensors import general_tensor_array, symmetry_defect
 
 
@@ -38,18 +35,6 @@ def check_metric(S):
     return S
 
 
-@dataclass
-class LieAlgebraBasis:
-    metric: np.ndarray
-    generators: list
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-
 def skew_basis(d):
     """Unit-Frobenius basis E_ab - E_ba, a < b, of the skew matrices."""
     out = []
@@ -63,7 +48,8 @@ def skew_basis(d):
 
 
 def lie_basis(S):
-    """Normalized generators S^{-1}(E_ab - E_ba) of the algebra of O(S).
+    """List of the normalized generators S^{-1}(E_ab - E_ba) of the algebra
+    of O(S).
 
     Postconditions checked on construction: each generator satisfies
     N^T S + S N = 0 to near roundoff and the set is linearly independent
@@ -84,7 +70,7 @@ def lie_basis(S):
     stacked = np.stack([N.ravel() for N in gens])
     if np.linalg.matrix_rank(stacked, tol=1e-10) != len(gens):
         raise AssertionError("generators are linearly dependent")
-    return LieAlgebraBasis(S, gens)
+    return gens
 
 
 def _unit(d, k):
@@ -173,29 +159,3 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
         "seed": seed,
         "n_states": int(np.shape(states[0])[0]),
     }
-
-
-def invariant_quadratic_model(S, p, weight=1.0, name="quadratic-invariant"):
-    """Quadratic density built from the induced pairing of S on degree-p
-    coefficients: L = weight * A^T G A / 2 with G the p-minor matrix of
-    S^{-1}.  Exactly invariant under the pullback action of O(S)."""
-    S = check_metric(S)
-    d = S.shape[0]
-    G = pullback_matrix(np.linalg.inv(S), d, p)
-    G = 0.5 * (G + G.T)  # symmetric up to roundoff already
-    return model_quadratic(weight * G, d, p, name=name, metric_hint=S)
-
-
-def commutator_closure_residual(basis):
-    """Least-squares residual of expressing every commutator of generators
-    inside their span; zero for a true Lie algebra basis."""
-    gens = list(basis)
-    stacked = np.stack([N.ravel() for N in gens], axis=1)
-    worst = 0.0
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            C = gens[a] @ gens[b] - gens[b] @ gens[a]
-            coef, res, *_ = np.linalg.lstsq(stacked, C.ravel(), rcond=None)
-            recon = stacked @ coef
-            worst = max(worst, float(np.abs(recon - C.ravel()).max()))
-    return worst

@@ -23,10 +23,8 @@ import numpy as np
 from . import dualnum
 from .conventions import (
     coeffs_to_em,
-    coeffs_to_em_gradient,
     coeffs_to_momentum,
     em_components,
-    em_gradient_to_coeffs,
     em_to_coeffs,
     euclidean_metric,
     minkowski_metric,
@@ -40,10 +38,6 @@ from .exterior import PFormValue, form_basis
 class EvaluationDomainError(ValueError):
     """A density was queried outside the density's domain, or produced NaN
     from finite inputs."""
-
-
-class SingularGradientError(ValueError):
-    """Radial density with nonzero slope queried at |A| = 0."""
 
 
 class LuminalStateError(ValueError):
@@ -235,16 +229,15 @@ def typed_state(model, a, s=0.0):
 # isotropic 1-form densities
 
 
-def model_isotropic_p1(d=2, profile=None, radial_slope=None, slope_over_r=None,
+def model_isotropic_p1(d=2, profile=None, slope_over_r=None,
                        name="iso-p1", params=None):
     """L = profile(s, |A|) on 1-forms; invariant under every rotation of the
     coefficient vector.  ``slope_over_r`` supplies the exact factor
-    (d profile/dr)/r when a closed form exists; otherwise the factor is
-    computed from ``radial_slope`` with a singularity check at |A| = 0.
+    (d profile/dr)/r of the gradient; without it forward-mode duals
+    differentiate the profile.  The default profile is |A|^2 / 2.
     """
     if profile is None:
         profile = lambda u, r: 0.5 * r * r
-        radial_slope = lambda u, r: r
         slope_over_r = lambda u, r: np.ones_like(np.asarray(r, dtype=float))
 
     def fn(comps, s):
@@ -255,21 +248,7 @@ def model_isotropic_p1(d=2, profile=None, radial_slope=None, slope_over_r=None,
 
     def grad_fn(A, s):
         r = np.sqrt(np.einsum("...k,...k->...", A, A))
-        if slope_over_r is not None:
-            factor = slope_over_r(s, r)
-        else:
-            factor = np.empty_like(r)
-            ok = r >= 1e-12
-            factor[ok] = radial_slope(s, r[ok]) / r[ok]
-            if (~ok).any():
-                r0 = 1e-7
-                probe = radial_slope(s, r0)
-                probe = np.broadcast_to(np.asarray(probe, dtype=float), r.shape)
-                if np.any(np.abs(probe[~ok]) > 1e-6):
-                    raise SingularGradientError(
-                        "radial density has nonzero slope at |A| = 0")
-                factor[~ok] = np.asarray(probe / r0)[~ok]
-        return factor[..., None] * A
+        return slope_over_r(s, r)[..., None] * A
 
     def sampler(rng, n):
         A = rng.standard_normal((n, d))
@@ -281,7 +260,7 @@ def model_isotropic_p1(d=2, profile=None, radial_slope=None, slope_over_r=None,
         return A, 0.3 * rng.standard_normal(n)
 
     return LagrangianModel(name, d, 1, fn,
-                           grad_fn=grad_fn if (slope_over_r or radial_slope) else None,
+                           grad_fn=grad_fn if slope_over_r else None,
                            metric_hint=euclidean_metric(d),
                            sampler=sampler,
                            params=dict(params or {}, d=d))
@@ -293,7 +272,6 @@ def model_minimal_surface(d=3, name="minimal-surface"):
     return model_isotropic_p1(
         d=d,
         profile=lambda u, r: dualnum.sqrt(1.0 + r * r),
-        radial_slope=lambda u, r: r / np.sqrt(1.0 + r * r),
         slope_over_r=lambda u, r: 1.0 / np.sqrt(1.0 + r * r),
         name=name,
         params={"d": d},
@@ -485,32 +463,28 @@ class MaxwellModel(LagrangianModel):
     """Density over the electromagnetic decomposition of a 2-form.
 
     ``lag_eb(E, B, s)`` receives E and B as component lists; ``material``
-    optionally returns the closed-form fields (D, H) for batched arrays.
+    returns the closed-form fields (D, H) for batched arrays.
     """
 
     state_type = EMState
 
-    def __init__(self, lag_eb, material=None, name="maxwell", params=None):
+    def __init__(self, lag_eb, material, name="maxwell", params=None):
         self.material = material
         super().__init__(name, 4, 2, lambda comps, s: lag_eb(*em_components(comps), s),
-                         grad_fn=None if material is None else self._material_gradient,
+                         grad_fn=self._material_gradient,
                          metric_hint=minkowski_metric(1.0, 4), params=dict(params or {}))
 
     def _material_gradient(self, A, s):
         E, B = coeffs_to_em(A)
         D, H = self.material(E, B, s)
-        return em_gradient_to_coeffs(D, H)
+        return em_to_coeffs(D, -H)
 
     def fields(self, E, B, s=0.0):
         """Material response (D, H) and energy density W = E . D - L."""
         E = np.asarray(E, dtype=float)
         B = np.asarray(B, dtype=float)
-        A = em_to_coeffs(E, B)
-        if self.material is not None:
-            D, H = self.material(E, B, s)
-        else:
-            D, H = coeffs_to_em_gradient(self.gradient(A, s))
-        L = self.evaluate(A, s)
+        D, H = self.material(E, B, s)
+        L = self.evaluate(em_to_coeffs(E, B), s)
         W = np.einsum("...k,...k->...", E, D) - L
         return np.asarray(D, float), np.asarray(H, float), W
 
@@ -586,36 +560,6 @@ def model_maxwell_anisotropic(name="maxwell-anisotropic"):
         return 2.0 * E, np.zeros_like(B)
 
     return MaxwellModel(lag, material=material, name=name)
-
-
-# ---------------------------------------------------------------------------
-# quadratic densities (testing workhorse)
-
-
-def model_quadratic(Q, d, p, name="quadratic", metric_hint=None):
-    """L = A^T Q A / 2 for symmetric Q; gradient Q A."""
-    Q = np.asarray(Q, dtype=float)
-    C = form_basis(d, p).size
-    if Q.shape != (C, C):
-        raise ValueError(f"Q must be {C}x{C}")
-    if not np.allclose(Q, Q.T, atol=1e-12):
-        raise ValueError("Q must be symmetric")
-
-    def fn(comps, s):
-        acc = 0.0
-        for a in range(C):
-            row = 0.0
-            for b in range(C):
-                if Q[a, b] != 0.0:
-                    row = row + Q[a, b] * comps[b]
-            acc = acc + comps[a] * row
-        return 0.5 * acc
-
-    def grad_fn(A, s):
-        return np.einsum("ab,...b->...a", Q, A)
-
-    return LagrangianModel(name, d, p, fn, grad_fn=grad_fn,
-                           metric_hint=metric_hint, params={})
 
 
 # ---------------------------------------------------------------------------

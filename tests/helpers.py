@@ -14,6 +14,14 @@ def sampled_states(model, n, seed):
     return model.sample_states(np.random.default_rng(seed), n)
 
 
+def limit_jump_states(model, m_left, nu, lam):
+    """One-parameter jump family for the limit density L = rho^2:
+    m_right = m_left + lam Lam^{-1} nu.  On a light-like interface every lam
+    satisfies the jump conditions exactly."""
+    Lam_inv = np.linalg.inv(model.Lam)
+    return np.asarray(m_left, dtype=float) + lam * (Lam_inv @ np.asarray(nu, dtype=float))
+
+
 def rel_gap(a, b):
     """Max entrywise difference over max(1, scale of the operands)."""
     a = np.asarray(a, dtype=float)

@@ -8,9 +8,9 @@ from divfree import (
     assemble_gas,
     build_model,
     euclidean_metric,
-    run_case,
     invariance_symmetry_check,
 )
+from divfree.manufactured import run_case
 from divfree.cli import dumps_report, main, parse_params, _parse_state
 from divfree.models import EMState, GasState, RelativisticState
 from divfree.exterior import PFormValue

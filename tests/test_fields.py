@@ -6,38 +6,38 @@ import numpy as np
 import pytest
 
 from divfree import (
-    FlowLeftGridError,
     GridField,
-    JumpInterface,
-    VariationField,
-    bernoulli_check,
     build_model,
-    bump_variation,
     case_refinement,
-    closed_trig_form,
-    closedness_residual,
     coeffs_to_momentum,
-    div_T_residual,
-    divergence_pairing,
-    entropy_transport_residual,
-    first_variation,
     lightlike_normal_search,
-    limit_jump_states,
-    load_grid,
-    load_grid_csv,
-    mass_conservation_residual,
-    observed_order,
-    poynting_residual,
-    rankine_hugoniot,
-    run_case,
     save_grid,
-    tensor_grid,
     variation_study,
 )
 from divfree.exterior import pullback_coeffs
-from divfree.fields import _cd, _family_residual, _interior
-from divfree.manufactured import CASES, study_model
+from divfree.fields import (
+    FlowLeftGridError,
+    JumpInterface,
+    VariationField,
+    _cd,
+    _family_residual,
+    _interior,
+    bernoulli_check,
+    closedness_residual,
+    div_T_residual,
+    divergence_pairing,
+    first_variation,
+    load_grid,
+    load_grid_csv,
+    observed_order,
+    poynting_residual,
+    rankine_hugoniot,
+    tensor_grid,
+)
+from divfree.manufactured import CASES, bump_variation, closed_trig_form, run_case, study_model
 from divfree.models import GasState, RelativisticState
+
+from helpers import limit_jump_states
 
 
 def _gas_momentum_grid(n):
@@ -244,8 +244,11 @@ def test_prime_variant_carries_the_momentum_row():
 
 
 def test_mass_row_equals_the_closedness_residual():
+    # d/dt rho + div q on the interior, from the momentum components
     g = _gas_momentum_grid(9)
-    assert mass_conservation_residual(g) == closedness_residual(g)
+    m = coeffs_to_momentum(g.values)
+    mass = sum(_cd(m[..., a], a, g.spacing[a], g.d) for a in range(g.d))
+    assert float(np.abs(mass).max()) == closedness_residual(g)
 
 
 def test_discrete_summation_by_parts_is_exact():
@@ -479,8 +482,6 @@ def test_normal_search_lands_on_the_light_cone():
 
 def test_timelike_normals_keep_a_residual_floor():
     lim = build_model("relativistic-limit")
-    lam_grid = np.concatenate([-np.geomspace(1e-2, 1.0, 24)[::-1],
-                               np.geomspace(1e-2, 1.0, 24)])
     best = _family_residual(lim, np.array([1.0, 0.2, 0.0, 0.0]),
-                            np.array([2.0, 0.3, -0.1, 0.2]), 0.05, lam_grid)
+                            np.array([2.0, 0.3, -0.1, 0.2]), 0.05)
     assert best > 1e-3

@@ -3,29 +3,27 @@ import numpy as np
 import pytest
 
 from divfree import (
-    EvaluationDomainError,
-    LuminalStateError,
-    PFormValue,
-    SingularGradientError,
     ad_gradient,
     build_model,
     coeffs_to_momentum,
     em_to_coeffs,
     finite_difference_gradient,
-    list_models,
-    model_from_expression,
-    model_isotropic_p1,
     momentum_to_coeffs,
-    state_to_form,
 )
+from divfree.exterior import PFormValue
 from divfree.models import (
     EMState,
+    EvaluationDomainError,
     GasModel,
     GasState,
     LagrangianModel,
+    LuminalStateError,
     MaxwellModel,
     RelativisticModel,
     RelativisticState,
+    list_models,
+    model_from_expression,
+    state_to_form,
     typed_state,
 )
 
@@ -275,17 +273,6 @@ def test_expression_model_rejects_unknown_names():
 def test_expression_whitelist_rejects(expr):
     with pytest.raises(ValueError):
         model_from_expression(expr, 2, 1)
-
-
-def test_singular_radial_slope_is_refused():
-    # a cone profile has slope 1 at the origin, so no gradient exists there
-    cone = model_isotropic_p1(
-        d=2, profile=lambda s, r: r,
-        radial_slope=lambda s, r: np.ones_like(np.asarray(r, dtype=float)))
-    with pytest.raises(SingularGradientError):
-        cone.gradient(np.zeros((1, 2)), 0.0)
-    away = cone.gradient(np.array([[3.0, 4.0]]), 0.0)
-    assert np.abs(away - np.array([[0.6, 0.8]])).max() < 1e-12
 
 
 @pytest.mark.parametrize("rho", (-1.0, 0.0))

@@ -4,8 +4,6 @@ import pytest
 
 from divfree import (
     GridField,
-    PFormValue,
-    TensorValue,
     assemble,
     assemble_gas,
     assemble_general,
@@ -13,19 +11,14 @@ from divfree import (
     assemble_nform,
     assemble_relativistic,
     build_model,
-    coeffs_to_momentum,
-    em_to_coeffs,
-    list_models,
     minkowski_metric,
-    momentum_to_coeffs,
-    state_to_form,
-    symmetry_defect,
-    tensor_grid,
-    typed_state,
 )
+from divfree.exterior import PFormValue
+from divfree.fields import tensor_grid
 from divfree.manufactured import closed_trig_form, study_model
-from divfree.models import EMState, GasState, LagrangianModel, RelativisticState
-from divfree.tensors import _assembly_table, general_tensor_array
+from divfree.models import (EMState, GasState, LagrangianModel, RelativisticState,
+                            list_models, typed_state)
+from divfree.tensors import TensorValue, _assembly_table, general_tensor_array, symmetry_defect
 
 from helpers import rel_gap, sampled_states
 
@@ -175,20 +168,6 @@ def test_nform_route_requires_codimension_one():
     mx = build_model("maxwell-linear")  # p = 2 in d = 4
     with pytest.raises(ValueError):
         assemble_nform(mx, np.zeros(4))
-
-
-def test_reindexed_presentation_assembles_identically():
-    # feeding the same 2-form through unordered index pairs changes nothing
-    mx = build_model("maxwell-lorentz")
-    E = np.array([0.7, -0.3, 0.2])
-    B = np.array([0.1, 0.9, -0.4])
-    canonical = PFormValue(4, 2, em_to_coeffs(E, B))
-    flipped = PFormValue.from_dict(
-        4, 2, {(j, i): -v for (i, j), v in canonical.as_dict().items()})
-    assert np.abs(flipped.coeffs - canonical.coeffs).max() == 0.0
-    Ta = assemble_general(mx, canonical).entries
-    Tb = assemble_general(mx, flipped).entries
-    assert np.abs(Ta - Tb).max() == 0.0
 
 
 def test_batched_assembly_matches_the_loop():
