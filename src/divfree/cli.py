@@ -293,13 +293,13 @@ def cmd_variation(args):
 def cmd_jump(args):
     model = build_model(args.model, parse_params(args.params))
     if args.m_left:
-        m_left = np.asarray(json.loads(args.m_left), dtype=float)
+        m_left = json.loads(args.m_left)
         report = lightlike_normal_search(model, m_left,
                                          rho_jump_min=args.rho_jump_min,
                                          coarse=args.coarse)
         report["command"] = "jump"
         report["model"] = model.name
-        report["m_left"] = m_left
+        report["m_left"] = np.asarray(m_left, dtype=float)
         return report, report["residual"] > args.tol
     if not (args.left and args.right and args.normal):
         raise ValueError("jump needs --m-left (search) or --left/--right/--normal")

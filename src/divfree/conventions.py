@@ -50,6 +50,8 @@ Metrics.  euclidean(d) = identity; minkowski(c, d) = diag(-c^2, 1, ..., 1).
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .exterior import form_basis
@@ -69,10 +71,11 @@ def _omit(i, d):
     return tuple(k for k in range(d) if k != i)
 
 
+@lru_cache(maxsize=None)
 def momentum_slots(d):
     """Storage slot of the tuple omitting axis i, for i = 0..d-1."""
     basis = form_basis(d, d - 1)
-    return [basis.index[_omit(i, d)] for i in range(d)]
+    return tuple(basis.index[_omit(i, d)] for i in range(d))
 
 
 def momentum_to_coeffs(m):

@@ -587,41 +587,60 @@ def rankine_hugoniot(model, interface):
 _LAM_GRID = np.concatenate([-np.geomspace(1e-2, 1.0, 24)[::-1],
                             np.geomspace(1e-2, 1.0, 24)])
 _REFINE_ITERS = 80
+# normals per batched objective call of the coarse scan: the default scan of
+# 121 fits in one call, and a larger one holds about 3 MB of candidates at
+# a time
+_SCAN_BATCH = 128
+
+
+def _unit_rows(V):
+    # each row over sqrt(row . row), which rounds as a 1-D np.linalg.norm
+    # does; norm(axis=-1) would move the last bits
+    return V / np.sqrt(np.matmul(V[..., None, :], V[..., :, None])[..., 0])
 
 
 def _family_residual(model, nu, m_left, rho_jump_min):
     """Smallest jump residual over candidate right states with a genuine
-    density jump; the residual couples |[T] nu| with |[m . nu]|."""
+    density jump; the residual couples |[T] nu| with |[m . nu]|.
+
+    ``nu`` is one normal (d,) or a batch (K, d) of normals.  The candidates
+    of every normal step from m_left along Lam^{-1} nu and a basis of the
+    plane nu . w = 0, and are assembled in one tensor call.  Returns a float
+    for one normal and a (K,) array for a batch; a normal with no admissible
+    candidate scores inf.
+    """
     nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
-    Lam = model.Lam
-    Lam_inv = np.linalg.inv(Lam)
-    dirs = [Lam_inv @ nu]
-    # complete with a Euclidean-orthogonal basis of the plane nu . w = 0
-    base = np.linalg.svd(nu[None, :])[2][1:]
-    dirs.extend(base)
+    single = nu.ndim == 1
+    nu = _unit_rows(np.atleast_2d(nu))
+    K, d = nu.shape
+    Lam_inv = np.linalg.inv(model.Lam)
+    # per normal: Lam^{-1} nu, then a Euclidean-orthogonal basis of the
+    # plane nu . w = 0
+    dirs = np.empty((K, d, d))
+    dirs[:, 0] = np.matmul(Lam_inv, nu[:, :, None])[..., 0]
+    dirs[:, 1:] = np.linalg.svd(nu[:, None, :])[2][:, 1:]
+    dirs = _unit_rows(dirs)
+    # every candidate, normal-major: (K, d directions, steps) flattened
+    m_R = (m_left + _LAM_GRID[:, None] * dirs[:, :, None, :]).reshape(-1, d)
+    owner = np.repeat(np.arange(K), d * _LAM_GRID.size)
     rho_L = float(model.rho_of(m_left))
-    T_L = general_tensor_array(model, momentum_to_coeffs(m_left[None, :]), 0.0)
-    best = np.inf
-    for w in dirs:
-        wn = w / np.linalg.norm(w)
-        m_R = m_left[None, :] + _LAM_GRID[:, None] * wn[None, :]
-        r2 = model.rho_sq(m_R)
-        ok = r2 > 1e-10
-        if not ok.any():
-            continue
-        m_R = m_R[ok]
-        rho_R = np.sqrt(r2[ok])
-        ok2 = np.abs(rho_R - rho_L) >= rho_jump_min
-        if not ok2.any():
-            continue
-        m_R = m_R[ok2]
+    r2 = model.rho_sq(m_R)
+    keep = r2 > 1e-10
+    keep[keep] = np.abs(np.sqrt(r2[keep]) - rho_L) >= rho_jump_min
+    resid = np.full(keep.shape, np.inf)
+    if keep.any():
+        m_R, nu_R = m_R[keep], nu[owner[keep]]
+        T_L = general_tensor_array(model, momentum_to_coeffs(m_left[None, :]), 0.0)
+        # T_R is a fresh buffer, so [T] is formed in place
         T_R = general_tensor_array(model, momentum_to_coeffs(m_R), 0.0)
-        jump = np.abs((T_R - T_L) @ nu).max(axis=-1)
-        m_nu = np.abs((m_R - m_left[None, :]) @ nu)
-        resid = np.maximum(jump, m_nu)
-        best = min(best, float(resid.min()))
-    return best
+        jump_T = np.subtract(T_R, T_L, out=T_R)
+        jump = np.abs(np.matmul(jump_T, nu_R[:, :, None])[..., 0]).max(axis=-1)
+        # einsum rounds as the 1-D matrix-vector product; a stacked matmul
+        # does not
+        m_nu = np.abs(np.einsum("ni,ni->n", m_R - m_left, nu_R))
+        resid[keep] = np.maximum(jump, m_nu)
+    best = resid.reshape(K, -1).min(axis=1)
+    return float(best[0]) if single else best
 
 
 def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
@@ -629,14 +648,25 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
     nu(theta) = (cos theta, sin theta, 0, 0) for the angle admitting a
     genuine jump of the limit density.
 
-    Scans a coarse theta grid for the smallest family residual, then golden
-    sections the bracket.  Returns the winning angle, normal, residual and
-    the light-cone quadratic nu^T Lam^{-1} nu at the winner.
+    Scores the coarse theta grid in batched objective calls of up to 128
+    angles, then golden sections the bracket around its smallest family
+    residual.  Returns the winning angle, normal, residual and the
+    light-cone quadratic nu^T Lam^{-1} nu at the winner.
     """
     if not isinstance(model, RelativisticModel):
         raise ValueError(f"the light-like normal search needs a relativistic "
                          f"model, not {model.name}")
-    m_left = np.asarray(m_left, dtype=float)
+    try:
+        m_left = np.asarray(m_left, dtype=float)
+    except TypeError:
+        m_left = None
+    if m_left is None or m_left.shape != (model.d,) or not np.isfinite(m_left).all():
+        raise ValueError(f"m_left must be {model.d} finite numbers")
+    if coarse < 1:
+        raise ValueError(f"coarse must be at least 1, not {coarse}")
+    if not (math.isfinite(rho_jump_min) and rho_jump_min >= 0.0):
+        raise ValueError(f"rho_jump_min must be finite and >= 0, "
+                         f"not {rho_jump_min}")
 
     def nu_of(theta):
         return np.array([math.cos(theta), math.sin(theta), 0.0, 0.0])
@@ -645,7 +675,11 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
         return _family_residual(model, nu_of(theta), m_left, rho_jump_min)
 
     thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, coarse)
-    vals = [objective(t) for t in thetas]
+    # nu_of, not np.cos/np.sin, so the scan rounds as the refine does
+    nus = np.array([nu_of(t) for t in thetas])
+    vals = np.concatenate([
+        _family_residual(model, nus[i:i + _SCAN_BATCH], m_left, rho_jump_min)
+        for i in range(0, coarse, _SCAN_BATCH)])
     k = int(np.argmin(vals))
     a = thetas[max(k - 1, 0)]
     b = thetas[min(k + 1, coarse - 1)]

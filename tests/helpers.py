@@ -7,6 +7,9 @@ from pathlib import Path
 import numpy as np
 
 import divfree
+from divfree.conventions import momentum_to_coeffs
+from divfree.fields import _LAM_GRID
+from divfree.tensors import general_tensor_array
 
 
 def sampled_states(model, n, seed):
@@ -20,6 +23,28 @@ def limit_jump_states(model, m_left, nu, lam):
     satisfies the jump conditions exactly."""
     Lam_inv = np.linalg.inv(model.Lam)
     return np.asarray(m_left, dtype=float) + lam * (Lam_inv @ np.asarray(nu, dtype=float))
+
+
+def family_residual_loop(model, nu, m_left, rho_jump_min):
+    """Reference for fields._family_residual on one normal: each candidate
+    direction on its own, with 1-D norms and matrix-vector products."""
+    nu = np.asarray(nu, dtype=float)
+    nu = nu / np.linalg.norm(nu)
+    dirs = [np.linalg.inv(model.Lam) @ nu, *np.linalg.svd(nu[None, :])[2][1:]]
+    rho_L = float(model.rho_of(m_left))
+    T_L = general_tensor_array(model, momentum_to_coeffs(m_left[None, :]), 0.0)
+    best = np.inf
+    for w in dirs:
+        m_R = m_left[None, :] + _LAM_GRID[:, None] * (w / np.linalg.norm(w))[None, :]
+        r2 = model.rho_sq(m_R)
+        m_R, r2 = m_R[r2 > 1e-10], r2[r2 > 1e-10]
+        m_R = m_R[np.abs(np.sqrt(r2) - rho_L) >= rho_jump_min]
+        if len(m_R):
+            T_R = general_tensor_array(model, momentum_to_coeffs(m_R), 0.0)
+            jump = np.abs((T_R - T_L) @ nu).max(axis=-1)
+            m_nu = np.abs((m_R - m_left[None, :]) @ nu)
+            best = min(best, float(np.maximum(jump, m_nu).min()))
+    return best
 
 
 def rel_gap(a, b):

@@ -207,6 +207,16 @@ def test_state_of_the_wrong_kind_is_an_input_error(capsys, argv):
     assert_one_error_line(capsys, argv)
 
 
+@pytest.mark.parametrize("argv", (
+    ["jump", "--m-left", "[NaN, 0.3, -0.1, 0.2]"],
+    ["jump", "--m-left", '{"m": [2.0, 0.3, -0.1, 0.2]}'],
+    ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]", "--coarse", "0"],
+    ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]", "--rho-jump-min", "nan"],
+))
+def test_bad_search_input_is_an_input_error(capsys, argv):
+    assert_one_error_line(capsys, argv)
+
+
 def assert_one_error_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -37,7 +37,7 @@ from divfree.fields import (
 from divfree.manufactured import CASES, bump_variation, closed_trig_form, run_case, study_model
 from divfree.models import GasState, RelativisticState
 
-from helpers import limit_jump_states
+from helpers import family_residual_loop, limit_jump_states
 
 
 def _gas_momentum_grid(n):
@@ -485,3 +485,54 @@ def test_timelike_normals_keep_a_residual_floor():
     best = _family_residual(lim, np.array([1.0, 0.2, 0.0, 0.0]),
                             np.array([2.0, 0.3, -0.1, 0.2]), 0.05)
     assert best > 1e-3
+
+
+@pytest.mark.parametrize("name", ("relativistic-limit", "relativistic"))
+def test_batched_objective_is_the_per_direction_loop_bit_for_bit(name):
+    model = build_model(name)
+    m_left = np.array([2.0, 0.3, -0.1, 0.2])
+    rng = np.random.default_rng(3)
+    # light-like, timelike and spacelike normals, some not of unit length
+    nus = np.vstack([[1.0, 1.0, 0.0, 0.0], [1.0, 0.2, 0.0, 0.0],
+                     [0.2, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0],
+                     rng.normal(size=(6, 4))])
+    batch = _family_residual(model, nus, m_left, 0.05)
+    assert batch.shape == (len(nus),)
+    one_by_one = [_family_residual(model, nu, m_left, 0.05) for nu in nus]
+    assert all(type(v) is float for v in one_by_one)
+    assert batch.tobytes() == np.array(one_by_one).tobytes()
+    reference = [family_residual_loop(model, nu, m_left, 0.05) for nu in nus]
+    assert batch.tobytes() == np.array(reference).tobytes()
+    if name == "relativistic-limit":
+        assert batch[0] < 1e-10 and batch[1] > 1e-3
+
+
+def test_batched_objective_scores_a_normal_without_candidates_inf():
+    lim = build_model("relativistic-limit")
+    nus = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.2, 0.0, 0.0]])
+    # no step of length <= 1 changes the density by 100
+    best = _family_residual(lim, nus, np.array([2.0, 0.3, -0.1, 0.2]), 100.0)
+    assert best.shape == (2,) and np.isinf(best).all()
+
+
+def test_normal_search_scans_in_batches_with_the_same_result(monkeypatch):
+    lim = build_model("relativistic-limit")
+    m_left = np.array([2.0, 0.3, -0.1, 0.2])
+    whole = lightlike_normal_search(lim, m_left, coarse=41)
+    monkeypatch.setattr("divfree.fields._SCAN_BATCH", 7)
+    split = lightlike_normal_search(lim, m_left, coarse=41)
+    assert whole["theta"] == split["theta"] and whole["residual"] == split["residual"]
+
+
+@pytest.mark.parametrize("m_left, kwargs", (
+    ([np.nan, 0.3, -0.1, 0.2], {}),
+    ([2.0, np.inf, -0.1, 0.2], {}),
+    ([2.0, 0.3, -0.1], {}),
+    ([[2.0, 0.3, -0.1, 0.2]], {}),
+    ([2.0, 0.3, -0.1, 0.2], {"coarse": 0}),
+    ([2.0, 0.3, -0.1, 0.2], {"rho_jump_min": np.nan}),
+    ([2.0, 0.3, -0.1, 0.2], {"rho_jump_min": -0.05}),
+))
+def test_normal_search_rejects_bad_input(m_left, kwargs):
+    with pytest.raises(ValueError):
+        lightlike_normal_search(build_model("relativistic-limit"), m_left, **kwargs)

@@ -13,6 +13,7 @@ from divfree import (
     build_model,
     minkowski_metric,
 )
+from divfree.conventions import coeffs_to_momentum, momentum_slots, momentum_to_coeffs
 from divfree.exterior import PFormValue
 from divfree.fields import tensor_grid
 from divfree.manufactured import closed_trig_form, study_model
@@ -239,6 +240,16 @@ def test_grid_assembly_is_the_cell_major_loop_and_shares_no_memory():
     prime = tensor_grid(model, grid, "prime")
     assert _same_bits(general, before)
     assert _same_bits(prime[..., 1:, :], general[..., 1:, :])
+
+
+def test_momentum_slots_are_one_shared_tuple():
+    assert momentum_slots(4) is momentum_slots(4)
+    assert isinstance(momentum_slots(4), tuple)
+    m = np.arange(1.0, 9.0).reshape(2, 4)
+    A = momentum_to_coeffs(m)
+    for i, slot in enumerate(momentum_slots(4)):
+        assert np.array_equal(A[:, slot], (-1) ** i * m[:, i])
+    assert np.array_equal(coeffs_to_momentum(A), m)
 
 
 def test_tensor_value_validation():
