@@ -27,7 +27,6 @@ from .fields import (
     load_grid,
     load_grid_csv,
     rankine_hugoniot,
-    JumpInterface,
 )
 from .invariance import invariance_symmetry_check
 from .manufactured import case_refinement, list_cases, run_case, variation_study
@@ -147,6 +146,14 @@ def _is_numeric(value):
     if isinstance(value, list):
         return all(_is_numeric(v) for v in value)
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_numbers(flag, text):
+    """The JSON of a vector flag, which must hold numbers, as a state does."""
+    value = json.loads(text)
+    if not _is_numeric(value):
+        raise ValueError(f"{flag} must hold numbers, not {json.dumps(value)}")
+    return value
 
 
 def _parse_state(model, text):
@@ -293,24 +300,24 @@ def cmd_variation(args):
 def cmd_jump(args):
     model = build_model(args.model, parse_params(args.params))
     if args.m_left:
-        m_left = json.loads(args.m_left)
+        m_left = _parse_numbers("--m-left", args.m_left)
         report = lightlike_normal_search(model, m_left,
                                          rho_jump_min=args.rho_jump_min,
                                          coarse=args.coarse)
         report["command"] = "jump"
         report["model"] = model.name
         report["m_left"] = np.asarray(m_left, dtype=float)
-        return report, report["residual"] > args.tol
+        # a NaN residual fails: it is not <= any tolerance
+        return report, not report["residual"] <= args.tol
     if not (args.left and args.right and args.normal):
         raise ValueError("jump needs --m-left (search) or --left/--right/--normal")
     left = _parse_state(model, args.left)
     right = _parse_state(model, args.right)
-    nu = np.asarray(json.loads(args.normal), dtype=float)
-    report = rankine_hugoniot(model, JumpInterface(nu, left, right))
+    nu = _parse_numbers("--normal", args.normal)
+    report = rankine_hugoniot(model, left, right, nu)
     report["command"] = "jump"
     report["model"] = model.name
-    failed = args.tol is not None and float(np.max(report["row_residuals"])) > args.tol
-    return report, failed
+    return report, not float(np.max(report["row_residuals"])) <= args.tol
 
 
 def cmd_models(args):

@@ -66,13 +66,15 @@ class Dual:
     def __pow__(self, n):
         if isinstance(n, Dual):
             return exp(n * log(self))
-        if n == 0:
-            return Dual(np.ones_like(np.asarray(self.val, float)) if _is_array(self.val) else 1.0, 0.0)
-        if n == 1:
-            return self
-        if isinstance(n, int) or float(n).is_integer():
-            base = self.val ** (int(n) - 1)
-            return Dual(base * self.val, n * base * self.eps)
+        # an array exponent, as an expression model makes, is the general case
+        if getattr(n, "ndim", 0) == 0:
+            if n == 0:
+                return Dual(np.ones_like(np.asarray(self.val, float)) if _is_array(self.val) else 1.0, 0.0)
+            if n == 1:
+                return self
+            if isinstance(n, int) or float(n).is_integer():
+                base = self.val ** (int(n) - 1)
+                return Dual(base * self.val, n * base * self.eps)
         base = self.val ** (n - 1.0)  # requires positive value
         return Dual(base * self.val, n * base * self.eps)
 

@@ -46,6 +46,12 @@ def _positive_spacing(spacing):
     return spacing
 
 
+def _node_coordinates(dims, spacing, origin):
+    """Node coordinates of a uniform grid, shape dims + (d,)."""
+    axes = [o + h * np.arange(n) for n, h, o in zip(dims, spacing, origin)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 @dataclass
 class GridField:
     """Degree-p coefficients sampled on a uniform node grid.
@@ -96,20 +102,16 @@ class GridField:
         return int(np.count_nonzero(~(finite.all(axis=-1) & entropy)))
 
     def coordinates(self):
-        axes = [self.origin[a] + self.spacing[a] * np.arange(self.dims[a])
-                for a in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return _node_coordinates(self.dims, self.spacing, self.origin)
 
     @classmethod
     def from_function(cls, fn, d, p, dims, spacing, origin=None, entropy_fn=None):
+        spacing = _positive_spacing(spacing)
         origin = tuple(origin) if origin is not None else (0.0,) * d
-        probe = cls(d, p, tuple(dims), tuple(spacing), origin,
-                    np.zeros(tuple(dims) + (form_basis(d, p).size,)))
-        Y = probe.coordinates()
+        Y = _node_coordinates(dims, spacing, origin)
         values = np.asarray(fn(Y), dtype=float)
         entropy = None if entropy_fn is None else np.asarray(entropy_fn(Y), dtype=float)
-        return cls(d, p, tuple(dims), tuple(spacing), origin, values, entropy)
+        return cls(d, p, tuple(dims), spacing, origin, values, entropy)
 
 
 def _component_names(d, p):
@@ -243,19 +245,10 @@ def closedness_residual(grid):
     return float(worst)
 
 
-def tensor_grid(model, grid, variant="general"):
-    """Tensor samples at every node; variant 'prime' replaces row 0 by the
-    momentum vector (only meaningful for p = d - 1 models)."""
+def tensor_grid(model, grid):
+    """Tensor samples at every node."""
     s = grid.entropy if grid.entropy is not None else 0.0
-    T = general_tensor_array(model, grid.values, s)
-    if variant == "prime":
-        if model.p != model.d - 1:
-            raise ValueError("the modified tensor needs p = d - 1")
-        T = T.copy()
-        T[..., 0, :] = coeffs_to_momentum(grid.values)
-    elif variant != "general":
-        raise ValueError("variant must be 'general' or 'prime'")
-    return T
+    return general_tensor_array(model, grid.values, s)
 
 
 def div_rows(T_field, spacing, d):
@@ -270,10 +263,10 @@ def div_rows(T_field, spacing, d):
     return np.stack(rows, axis=-1)
 
 
-def div_T_residual(model, grid, variant="general"):
+def div_T_residual(model, grid):
     """Per-row max-norm of Div T on interior nodes."""
     _require_interior(grid)
-    T = tensor_grid(model, grid, variant)
+    T = tensor_grid(model, grid)
     rows = div_rows(T, grid.spacing, grid.d)
     return np.abs(rows).max(axis=tuple(range(grid.d)))
 
@@ -298,44 +291,21 @@ def poynting_residual(model, grid):
 # variations and the discrete first variation
 
 
-def _multilinear_interp(values, origin, spacing, dims, Y):
-    """d-linear interpolation of a gridded array with trailing component
-    axes at arbitrary points Y (..., d)."""
-    d = len(dims)
-    t = [(Y[..., a] - origin[a]) / spacing[a] for a in range(d)]
-    base = [np.clip(np.floor(ta).astype(int), 0, dims[a] - 2) for a, ta in enumerate(t)]
-    frac = [ta - ba for ta, ba in zip(t, base)]
-    comp_ndim = values.ndim - d
-    out = 0.0
-    for corner in range(1 << d):
-        w = 1.0
-        idx = []
-        for a in range(d):
-            if corner >> a & 1:
-                w = w * frac[a]
-                idx.append(base[a] + 1)
-            else:
-                w = w * (1.0 - frac[a])
-                idx.append(base[a])
-        out = out + w.reshape(w.shape + (1,) * comp_ndim) * values[tuple(idx)]
-    return out
-
-
 @dataclass
 class VariationField:
     """A compactly supported velocity field for flow variations.
 
-    Values must vanish on a margin of at least two nodes at every boundary.
-    The flow integrator reads the field and its Jacobian from ``func_jac``
-    when present; otherwise it interpolates the samples and their
-    difference Jacobian multilinearly.
+    ``values`` samples the field on the nodes of a grid and must vanish on
+    a margin of at least two nodes at every boundary.  ``func_jac(Y)``
+    returns the field and its Jacobian (..., d, d) at arbitrary points Y
+    (..., d); the flow integrator reads only that analytic pair.
     """
 
     dims: tuple
     spacing: tuple
     origin: tuple
     values: np.ndarray
-    func_jac: object = None
+    func_jac: object
     margin: int = 2
 
     def __post_init__(self):
@@ -347,35 +317,23 @@ class VariationField:
         if self.values.shape != self.dims + (d,):
             raise ValueError(f"values must have shape {self.dims + (d,)}")
         for a in range(d):
-            for edge in (slice(0, self.margin), slice(self.dims[a] - self.margin, None)):
-                sl = [slice(None)] * d
-                sl[a] = edge
-                if np.any(self.values[tuple(sl)] != 0.0):
-                    raise ValueError(
-                        f"variation must vanish on a {self.margin}-node margin")
-        if self.func_jac is None:
-            self._grid_jac = np.zeros(self.dims + (d, d))
-            for i in range(d):
-                for j in range(d):
-                    self._grid_jac[..., i, j] = np.gradient(
-                        self.values[..., i], self.spacing[j], axis=j)
+            rows = np.moveaxis(self.values, a, 0)
+            if rows[:self.margin].any() or rows[self.dims[a] - self.margin:].any():
+                raise ValueError(f"variation must vanish on a {self.margin}-node margin")
 
     def value_and_jacobian(self, Y):
-        if self.func_jac is not None:
-            v, J = self.func_jac(Y)
-            return np.asarray(v, dtype=float), np.asarray(J, dtype=float)
-        return tuple(_multilinear_interp(arr, self.origin, self.spacing, self.dims, Y)
-                     for arr in (self.values, self._grid_jac))
+        v, J = self.func_jac(Y)
+        return np.asarray(v, dtype=float), np.asarray(J, dtype=float)
 
     @classmethod
-    def from_function(cls, func, dims, spacing, origin=None, func_jac=None):
-        """Samples of ``func`` on the grid; ``func_jac(Y) -> (value, Jacobian)``
-        is the analytic pair the flow integrator uses."""
-        origin = tuple(origin) if origin is not None else (0.0,) * len(dims)
-        axes = [origin[a] + spacing[a] * np.arange(dims[a]) for a in range(len(dims))]
-        Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        return cls(tuple(dims), tuple(spacing), origin,
-                   np.asarray(func(Y), dtype=float), func_jac=func_jac)
+    def from_function(cls, func, func_jac, dims, spacing):
+        """Samples of ``func`` on a grid at the origin; ``func_jac(Y) ->
+        (value, Jacobian)`` is the analytic pair the flow integrator uses."""
+        spacing = _positive_spacing(spacing)
+        origin = (0.0,) * len(dims)
+        Y = _node_coordinates(dims, spacing, origin)
+        return cls(tuple(dims), spacing, origin,
+                   np.asarray(func(Y), dtype=float), func_jac)
 
 
 def _flow_with_jacobian(var, Y, tau, substeps):
@@ -437,8 +395,9 @@ def first_variation(model, grid, var, eps, substeps=8):
     """
     if substeps < 8:
         raise ValueError("use at least 8 flow substeps")
-    if var.dims != grid.dims:
-        raise ValueError("variation and field grids must match")
+    if (var.dims, var.spacing, var.origin) != (grid.dims, grid.spacing, grid.origin):
+        raise ValueError("the variation must be sampled on the field's grid: "
+                         "equal dims, spacing and origin")
     d = grid.d
     Y = grid.coordinates().reshape(-1, d)
     v, J = var.value_and_jacobian(Y)
@@ -463,9 +422,7 @@ def first_variation(model, grid, var, eps, substeps=8):
 
     numeric = (functional(eps) - functional(-eps)) / (2.0 * eps)
 
-    T = general_tensor_array(model, grid.values,
-                             grid.entropy if grid.entropy is not None else 0.0)
-    T_int = _interior(T, d)
+    T_int = _interior(tensor_grid(model, grid), d)
     pairing = 0.0
     for i in range(d):
         for j in range(d):
@@ -540,30 +497,31 @@ def bernoulli_check(model, psi, rho, spacing, s=0.0):
 # jump interfaces
 
 
-@dataclass
-class JumpInterface:
-    nu: np.ndarray
-    left: object
-    right: object
-
-    def __post_init__(self):
-        self.nu = np.asarray(self.nu, dtype=float)
-        n = np.linalg.norm(self.nu)
-        if n == 0:
-            raise ValueError("normal must be nonzero")
-        self.nu = self.nu / n
+def _finite_vector(name, x, d):
+    """x as a float array of d finite numbers, or a ValueError naming it."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.shape != (d,) or not np.isfinite(x).all():
+        raise ValueError(f"{name} must be {d} finite numbers")
+    return x
 
 
-def rankine_hugoniot(model, interface):
-    """Jump report across a plane interface with unit normal nu.
+def rankine_hugoniot(model, left, right, nu):
+    """Jump report across a plane interface with normal nu, which must be
+    d finite numbers, not all zero, and is scaled to unit length.
 
     ``row_residuals`` holds |[T] nu| componentwise; for momentum-form models
     the report also carries [m . nu], for relativistic models [rho], and for
     metric-carrying models the quadratic nu^T metric^{-1} nu that classifies
     the interface.
     """
-    nu = interface.nu
-    forms = [state_to_form(model, st) for st in (interface.left, interface.right)]
+    nu = _finite_vector("normal", nu, model.d)
+    if not nu.any():
+        raise ValueError("normal must be nonzero")
+    nu = nu / np.linalg.norm(nu)
+    forms = [state_to_form(model, st) for st in (left, right)]
     T = [general_tensor_array(model, f.coeffs,
                               f.entropy if f.entropy is not None else 0.0)
          for f in forms]
@@ -656,12 +614,7 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
     if not isinstance(model, RelativisticModel):
         raise ValueError(f"the light-like normal search needs a relativistic "
                          f"model, not {model.name}")
-    try:
-        m_left = np.asarray(m_left, dtype=float)
-    except TypeError:
-        m_left = None
-    if m_left is None or m_left.shape != (model.d,) or not np.isfinite(m_left).all():
-        raise ValueError(f"m_left must be {model.d} finite numbers")
+    m_left = _finite_vector("m_left", m_left, model.d)
     if coarse < 1:
         raise ValueError(f"coarse must be at least 1, not {coarse}")
     if not (math.isfinite(rho_jump_min) and rho_jump_min >= 0.0):
@@ -683,25 +636,29 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
     k = int(np.argmin(vals))
     a = thetas[max(k - 1, 0)]
     b = thetas[min(k + 1, coarse - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(_REFINE_ITERS):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = objective(x2)
-    theta = x1 if f1 <= f2 else x2
+    theta, residual = thetas[k], vals[k]
+    # a one-angle scan leaves an empty bracket, a = b, with nothing to refine
+    if a < b:
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        x1 = b - phi * (b - a)
+        x2 = a + phi * (b - a)
+        f1, f2 = objective(x1), objective(x2)
+        for _ in range(_REFINE_ITERS):
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - phi * (b - a)
+                f1 = objective(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + phi * (b - a)
+                f2 = objective(x2)
+        theta = x1 if f1 <= f2 else x2
+        residual = min(f1, f2)
     nu = nu_of(theta)
     Lam_inv = np.linalg.inv(model.Lam)
     return {
         "theta": float(theta),
         "nu": nu,
-        "residual": float(min(f1, f2)),
+        "residual": float(residual),
         "metric_quadratic": float(nu @ Lam_inv @ nu),
     }

@@ -331,7 +331,7 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
                     col -= prod_dmod
         return value, np.moveaxis(jac, (0, 1), (-2, -1))
 
-    return VariationField.from_function(func, dims, spacing, func_jac=func_jac)
+    return VariationField.from_function(func, func_jac, dims, spacing)
 
 
 def study_model(d, p, seed):

@@ -72,28 +72,21 @@ class LagrangianModel:
         self._sampler = sampler
         self.params = dict(params or {})
 
-    def _coerce(self, A, s):
-        if isinstance(A, PFormValue):
-            if (A.d, A.p) != (self.d, self.p):
-                raise ValueError(
-                    f"model {self.name} expects (d={self.d}, p={self.p}), "
-                    f"got (d={A.d}, p={A.p})")
-            s = A.entropy if A.entropy is not None else s
-            A = A.coeffs
+    def _coerce(self, A):
         A = np.asarray(A, dtype=float)
         if A.shape[-1] != self.n_coeffs:
             raise ValueError(
                 f"model {self.name} expects {self.n_coeffs} coefficients, "
                 f"got trailing axis {A.shape[-1]}")
-        return A, s
+        return A
 
     def evaluate(self, A, s=0.0):
-        A, s = self._coerce(A, s)
+        A = self._coerce(A)
         comps = [A[..., k] for k in range(self.n_coeffs)]
         return self._fn(comps, s)
 
     def gradient(self, A, s=0.0):
-        A, s = self._coerce(A, s)
+        A = self._coerce(A)
         if self._grad_fn is not None:
             return self._grad_fn(A, s)
         return _ad_gradient_core(self._fn, self.n_coeffs, A, s)
@@ -127,7 +120,7 @@ def ad_gradient(model):
     """Exact gradient of a model's density by forward-mode dual numbers,
     independent of any closed form the model carries."""
     def grad(A, s=0.0):
-        A, s = model._coerce(A, s)
+        A = model._coerce(A)
         return _ad_gradient_core(model._fn, model.n_coeffs, A, s)
     return grad
 
@@ -135,7 +128,7 @@ def ad_gradient(model):
 def finite_difference_gradient(model, A, s=0.0, scale=1e-6):
     """Second-order central differences with per-coefficient step
     h_k = scale * (1 + |A_k|); a cross-check, not a primary path."""
-    A, s = model._coerce(A, s)
+    A = model._coerce(A)
     out = np.zeros_like(A)
     for k in range(model.n_coeffs):
         h = scale * (1.0 + np.abs(A[..., k]))

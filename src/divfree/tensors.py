@@ -77,7 +77,7 @@ def general_tensor_array(model, A, s=0.0):
     buffer, so each T[..., i, j] is contiguous but T is not C-contiguous.
     The buffer is new on every call and nothing else refers to it.  A
     caller that needs cell-major memory takes ``.copy(order="C")``; a plain
-    ``.copy()``, as in tensor_grid's prime variant, keeps the layout.
+    ``.copy()`` keeps the layout.
     """
     A = np.asarray(A, dtype=float)
     L = np.asarray(model.evaluate(A, s), dtype=float)

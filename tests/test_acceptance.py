@@ -26,7 +26,7 @@ from divfree import (
     momentum_to_coeffs,
     variation_study,
 )
-from divfree.fields import JumpInterface, _family_residual, rankine_hugoniot
+from divfree.fields import _family_residual, rankine_hugoniot
 from divfree.invariance import invariance_defect, symmetry_defect_max, trace_identity_residual
 from divfree.manufactured import run_case
 from divfree.models import RelativisticState, typed_state
@@ -221,9 +221,8 @@ def test_criterion_08_lightcone_jumps(conclude):
     found = lightlike_normal_search(model, m_left)
     nu = np.asarray(found["nu"])
     m_right = limit_jump_states(model, m_left, nu, 0.3)
-    rep = rankine_hugoniot(model, JumpInterface(
-        nu=nu, left=RelativisticState(m=m_left),
-        right=RelativisticState(m=m_right)))
+    rep = rankine_hugoniot(model, RelativisticState(m=m_left),
+                           RelativisticState(m=m_right), nu)
     jump_ok = (np.abs(rep["row_residuals"]).max() <= 1e-10
                and abs(rep["m_nu_jump"]) <= 1e-10
                and abs(rep["rho_jump"]) >= 0.05)

@@ -212,9 +212,32 @@ def test_state_of_the_wrong_kind_is_an_input_error(capsys, argv):
     ["jump", "--m-left", '{"m": [2.0, 0.3, -0.1, 0.2]}'],
     ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]", "--coarse", "0"],
     ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]", "--rho-jump-min", "nan"],
+    ["jump", "--m-left", "[true, 0.3, -0.1, 0.2]"],
 ))
 def test_bad_search_input_is_an_input_error(capsys, argv):
     assert_one_error_line(capsys, argv)
+
+
+PAIR = ["jump", "--model", "gas", "--left", '{"rho": 1, "q": [0]}',
+        "--right", '{"rho": 2, "q": [0]}', "--tol", "1e-8"]
+
+
+@pytest.mark.parametrize("normal", ("[NaN, 1]", "[Infinity, 1]", "[0, 1, 0]", "[[0, 1]]",
+                                    "[false, true]", '"01"', "[0, 0]"))
+def test_bad_normal_is_an_input_error(capsys, normal):
+    assert "normal" in assert_one_error_line(capsys, PAIR + ["--normal", normal])
+
+
+@pytest.mark.parametrize("argv", (
+    # a NaN state propagates into NaN row residuals
+    ["jump", "--model", "iso-p1", "--left", '{"coeffs": [NaN, 1]}',
+     "--right", '{"coeffs": [1, 1]}', "--normal", "[1, 0]"],
+    # a search residual is not <= a NaN tolerance
+    ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]", "--tol", "nan"],
+))
+def test_jump_fails_a_nan_comparison(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    assert code == 2 and json.loads(out)["command"] == "jump"
 
 
 def assert_one_error_line(capsys, argv):
@@ -223,6 +246,7 @@ def assert_one_error_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 @pytest.mark.parametrize("argv", (

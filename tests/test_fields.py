@@ -1,4 +1,5 @@
 """Grid verification layer: residuals, variations, jump interfaces."""
+import dataclasses
 import json
 import math
 
@@ -17,7 +18,6 @@ from divfree import (
 from divfree.exterior import pullback_coeffs
 from divfree.fields import (
     FlowLeftGridError,
-    JumpInterface,
     VariationField,
     _cd,
     _family_residual,
@@ -82,12 +82,35 @@ def test_grid_rejects_a_degenerate_spacing(spacing):
         GridField(2, 1, (4, 4), spacing, (0.0, 0.0), np.zeros((4, 4, 2)))
 
 
+def _constant_variation(dims, value, margin=2):
+    """xi = value at every node, with the analytic pair (value, 0)."""
+    d = len(dims)
+
+    def func_jac(Y):
+        return np.full(Y.shape, value), np.zeros(Y.shape + (d,))
+
+    return VariationField(dims, (1.0 / dims[0],) * d, (0.0,) * d,
+                          np.full(tuple(dims) + (d,), value), func_jac, margin)
+
+
 @pytest.mark.parametrize("spacing", DEGENERATE_SPACINGS)
 def test_variation_rejects_a_degenerate_spacing(spacing):
     values = np.zeros((8, 8, 2))
     values[3:5, 3:5] = 1.0
     with pytest.raises(ValueError, match="spacing"):
-        VariationField((8, 8), spacing, (0.0, 0.0), values)
+        VariationField((8, 8), spacing, (0.0, 0.0), values,
+                       _constant_variation((8, 8), 0.0).func_jac)
+    with pytest.raises(ValueError, match="spacing"):
+        bump_variation(2, (8, 8), spacing, seed=0)
+
+
+@pytest.mark.parametrize("spacing", DEGENERATE_SPACINGS)
+def test_grid_from_function_checks_the_spacing_before_sampling(spacing):
+    def fn(Y):
+        raise AssertionError("sampled on a degenerate grid")
+
+    with pytest.raises(ValueError, match="spacing"):
+        GridField.from_function(fn, 2, 1, (4, 4), spacing)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -231,18 +254,6 @@ def test_poynting_row_matches_the_time_row():
     assert poy == div[0]  # same stencils, opposite sign
 
 
-def test_prime_variant_carries_the_momentum_row():
-    gas = build_model("gas")
-    g = _gas_momentum_grid(7)
-    Tp = tensor_grid(gas, g, variant="prime")
-    m = coeffs_to_momentum(g.values)
-    assert np.abs(Tp[..., 0, :] - m).max() == 0.0
-    mx = build_model("maxwell-linear")
-    wave = CASES["maxwell-plane-wave"].build(4)[1]
-    with pytest.raises(ValueError):
-        tensor_grid(mx, wave, variant="prime")
-
-
 def test_mass_row_equals_the_closedness_residual():
     # d/dt rho + div q on the interior, from the momentum components
     g = _gas_momentum_grid(9)
@@ -327,30 +338,36 @@ def _full_grid_first_variation(model, grid, var, eps, substeps=8):
     return (functional(eps) - functional(-eps)) / (2.0 * eps)
 
 
-def _sampled_block_variation(d, n, seed):
-    """Grid samples only, nonzero on a centred block: the difference
-    Jacobian is also nonzero on the ring of nodes just outside it."""
-    values = np.zeros((n,) * d + (d,))
-    block = (slice(4, n - 4),) * d
-    values[block] = np.random.default_rng(seed).uniform(-0.3, 0.3, (n - 8,) * d + (d,))
-    return VariationField((n,) * d, (1.0 / n,) * d, (0.0,) * d, values)
+def _crossing_variation(bump):
+    """(x0 - 1/2) times a bump: xi is 0 on the nodes of the plane x0 = 1/2,
+    but its Jacobian there is the bump, not 0."""
+
+    def func_jac(Y):
+        v, J = bump.func_jac(Y)
+        t = (Y[..., 0] - 0.5)[..., None]
+        J = t[..., None] * J
+        J[..., 0] += v
+        return t * v, J
+
+    return VariationField.from_function(lambda Y: func_jac(Y)[0], func_jac,
+                                        bump.dims, bump.spacing)
 
 
-@pytest.mark.parametrize("d, p, n, sampled", ((2, 1, 16, False), (3, 2, 12, False),
-                                              (4, 3, 8, False), (2, 1, 16, True)))
-def test_first_variation_matches_the_full_grid_flow(d, p, n, sampled):
+@pytest.mark.parametrize("d, p, n, crossing", ((2, 1, 16, False), (3, 2, 12, False),
+                                               (4, 3, 8, False), (2, 1, 16, True)))
+def test_first_variation_matches_the_full_grid_flow(d, p, n, crossing):
     h = 1.0 / n
     grid = GridField.from_function(
         closed_trig_form(d, p, seed=101), d, p, (n,) * d, (h,) * d,
         entropy_fn=lambda Y: 0.5 * np.sin(2 * np.pi * Y[..., 0]))
-    if sampled:
-        var = _sampled_block_variation(d, n, seed=3)
+    var = bump_variation(d, (n,) * d, (h,) * d, seed=202,
+                         support=(2 * h + 1e-12, 1.0 - 2 * h - 1e-12))
+    if crossing:
+        # nodes that only the Jacobian marks as moving must still be flowed
+        var = _crossing_variation(var)
         v, J = var.value_and_jacobian(grid.coordinates())
         still = ~np.any(v != 0.0, axis=-1)
         assert np.any(still & np.any(J != 0.0, axis=(-2, -1)))
-    else:
-        var = bump_variation(d, (n,) * d, (h,) * d, seed=202,
-                             support=(2 * h + 1e-12, 1.0 - 2 * h - 1e-12))
     model = study_model(d, p, seed=0)
     numeric, _ = first_variation(model, grid, var, eps=0.01)
     reference = _full_grid_first_variation(model, grid, var, eps=0.01)
@@ -364,7 +381,7 @@ def test_first_variation_matches_the_full_grid_flow(d, p, n, sampled):
 
 
 def test_a_still_variation_has_no_first_variation():
-    var = VariationField((8, 8), (0.125, 0.125), (0.0, 0.0), np.zeros((8, 8, 2)))
+    var = _constant_variation((8, 8), 0.0)
     numeric, pairing = first_variation(build_model("iso-p1"), _gas_momentum_grid(8),
                                        var, eps=0.01)
     assert numeric == 0.0 and pairing == 0.0
@@ -387,17 +404,24 @@ def test_variation_validation():
                            support=(0.34, 0.66))
     with pytest.raises(ValueError):
         first_variation(iso, g, small, eps=0.01)
-    with pytest.raises(ValueError):
-        VariationField(dims=(8, 8), spacing=(1.0 / 8, 1.0 / 8),
-                       origin=(0.0, 0.0), values=np.ones((8, 8, 2)))
+    with pytest.raises(ValueError, match="margin"):
+        _constant_variation((8, 8), 1.0)
+
+
+@pytest.mark.parametrize("moved", ({"spacing": (0.1, 0.1)}, {"origin": (0.0, 0.125)}))
+def test_first_variation_needs_the_fields_own_grid(moved):
+    # equal dims are not enough: the pairing reads xi on the field's nodes
+    iso = build_model("iso-p1")
+    g = _gas_momentum_grid(8)
+    var = dataclasses.replace(bump_variation(2, (8, 8), g.spacing, seed=0), **moved)
+    with pytest.raises(ValueError, match="spacing and origin"):
+        first_variation(iso, g, var, eps=0.01)
 
 
 def test_unconfined_variation_flows_off_the_grid():
     iso = build_model("iso-p1")
     g = _gas_momentum_grid(8)
-    drift = VariationField(dims=(8, 8), spacing=(1.0 / 8, 1.0 / 8),
-                           origin=(0.0, 0.0),
-                           values=0.5 * np.ones((8, 8, 2)), margin=0)
+    drift = _constant_variation((8, 8), 0.5, margin=0)
     with pytest.raises(FlowLeftGridError):
         first_variation(iso, g, drift, eps=0.05)
 
@@ -442,10 +466,9 @@ def test_bernoulli_needs_a_wide_enough_grid():
 
 def test_static_pressure_jump_report():
     gas = build_model("gas")
-    iface = JumpInterface(nu=[0.0, 2.0], left=GasState(rho=1.0, q=[0.0]),
-                          right=GasState(rho=2.0, q=[0.0]))
-    assert np.abs(iface.nu - np.array([0.0, 1.0])).max() == 0.0
-    rep = rankine_hugoniot(gas, iface)
+    rep = rankine_hugoniot(gas, GasState(rho=1.0, q=[0.0]), GasState(rho=2.0, q=[0.0]),
+                           [0.0, 2.0])
+    assert np.abs(rep["nu"] - np.array([0.0, 1.0])).max() == 0.0
     # only the pressure row jumps: [p] = 2^2/2 - 1^2/2
     assert np.abs(rep["row_residuals"] - np.array([0.0, 1.5])).max() < 1e-14
     assert rep["m_nu_jump"] == 0.0
@@ -453,8 +476,17 @@ def test_static_pressure_jump_report():
 
 
 def test_zero_normal_is_rejected():
-    with pytest.raises(ValueError):
-        JumpInterface(nu=[0.0, 0.0], left=None, right=None)
+    state = GasState(rho=1.0, q=[0.0])
+    with pytest.raises(ValueError, match="nonzero"):
+        rankine_hugoniot(build_model("gas"), state, state, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("nu", ([np.nan, 1.0], [np.inf, 1.0], [0.0, 1.0, 0.0], [[0.0, 1.0]],
+                                [[0.0], [1.0, 2.0]], {"x": 1.0}, "01", None))
+def test_a_normal_must_be_d_finite_numbers(nu):
+    state = GasState(rho=1.0, q=[0.0])
+    with pytest.raises(ValueError, match="normal must be 2 finite numbers"):
+        rankine_hugoniot(build_model("gas"), state, state, nu)
 
 
 def test_limit_family_satisfies_the_jump_conditions_on_the_cone():
@@ -463,9 +495,8 @@ def test_limit_family_satisfies_the_jump_conditions_on_the_cone():
     nu = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
     for lam in (0.3, -0.5, 1.0):
         m_right = limit_jump_states(lim, m_left, nu, lam)
-        rep = rankine_hugoniot(lim, JumpInterface(
-            nu=nu, left=RelativisticState(m=m_left),
-            right=RelativisticState(m=m_right)))
+        rep = rankine_hugoniot(lim, RelativisticState(m=m_left),
+                               RelativisticState(m=m_right), nu)
         assert np.abs(rep["row_residuals"]).max() < 1e-12
         assert abs(rep["m_nu_jump"]) < 1e-12
         assert abs(rep["metric_quadratic"]) < 1e-12
@@ -522,6 +553,25 @@ def test_normal_search_scans_in_batches_with_the_same_result(monkeypatch):
     monkeypatch.setattr("divfree.fields._SCAN_BATCH", 7)
     split = lightlike_normal_search(lim, m_left, coarse=41)
     assert whole["theta"] == split["theta"] and whole["residual"] == split["residual"]
+
+
+def test_a_one_angle_scan_is_not_refined(monkeypatch):
+    lim = build_model("relativistic-limit")
+    m_left = np.array([2.0, 0.3, -0.1, 0.2])
+    objective = _family_residual
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return objective(*args)
+
+    monkeypatch.setattr("divfree.fields._family_residual", counted)
+    found = lightlike_normal_search(lim, m_left, coarse=1)
+    assert len(calls) <= 2
+    # what the golden section of the empty bracket a = b = 1e-3 returned
+    nu = np.array([math.cos(1e-3), math.sin(1e-3), 0.0, 0.0])
+    assert found["theta"] == 1e-3 and found["nu"].tobytes() == nu.tobytes()
+    assert found["residual"] == objective(lim, nu, m_left, 0.05)
 
 
 @pytest.mark.parametrize("m_left, kwargs", (

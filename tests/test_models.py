@@ -253,6 +253,21 @@ def test_expression_model_matches_closed_isotropic():
     assert rel_gap(expr.gradient(A, 0.0), iso.gradient(A, 0.0)) < 1e-12
 
 
+@pytest.mark.parametrize("expr", (
+    "log(2 + A0*A1) * A1", "sin(A0*A1)", "cos(A0 + 2*A1)", "tan(0.5*A0) * A1",
+    "sinh(A0) * A1", "cosh(A0*A1)", "tanh(A0 - A1)", "atan(A0*A1)", "arctan(A0) + A1",
+    # Dual over Dual when A0 is seeded, a number over a Dual when A1 is
+    "(A0 + 3) / (A0*A1 + 3)",
+    # a number to a Dual power, and a Dual to an array power
+    "2 ^ A0 * A1", "(1.5 + A0*A0) ^ (0.5 + 0.1*A1*A1)"))
+def test_expression_dual_numbers_match_differences(expr):
+    model = build_model("user-expr", {"expr": expr, "d": 2, "p": 1})
+    A = np.random.default_rng(8).uniform(-1.0, 1.0, (20, 2))
+    dual = ad_gradient(model)(A, 0.0)
+    fd = finite_difference_gradient(model, A, 0.0)
+    assert np.abs(dual - fd).max() <= 1e-8
+
+
 def test_expression_model_uses_entropy():
     m = model_from_expression("s*A0 + A1^2", 2, 1)
     A = np.array([2.0, 3.0])
