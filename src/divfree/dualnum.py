@@ -60,18 +60,14 @@ class Dual:
     def __neg__(self):
         return Dual(-self.val, -self.eps)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, n):
         if isinstance(n, Dual):
             return exp(n * log(self))
         # an array exponent, as an expression model makes, is the general case
         if getattr(n, "ndim", 0) == 0:
             if n == 0:
-                return Dual(np.ones_like(np.asarray(self.val, float)) if _is_array(self.val) else 1.0, 0.0)
-            if n == 1:
-                return self
+                is_array = isinstance(self.val, np.ndarray)
+                return Dual(np.ones_like(self.val, dtype=float) if is_array else 1.0, 0.0)
             if isinstance(n, int) or float(n).is_integer():
                 base = self.val ** (int(n) - 1)
                 return Dual(base * self.val, n * base * self.eps)
@@ -81,38 +77,17 @@ class Dual:
     def __rpow__(self, other):
         return exp(self * np.log(other))
 
-    # comparisons look only at the value channel
-    def __lt__(self, other):
-        return self.val < value(other)
-
-    def __le__(self, other):
-        return self.val <= value(other)
-
-    def __gt__(self, other):
-        return self.val > value(other)
-
-    def __ge__(self, other):
-        return self.val >= value(other)
-
-
-def _is_array(x):
-    return isinstance(x, np.ndarray)
-
 
 def value(x):
     """Value channel of a Dual, or x itself."""
     return x.val if isinstance(x, Dual) else x
 
 
-def derivative(x, like=None):
-    """Derivative channel of a Dual, zero for constants.
-
-    With ``like`` given, the result is broadcast to that array's shape.
-    """
+def derivative(x, like):
+    """Derivative channel of a Dual (zero for a constant), broadcast to the
+    shape of ``like``."""
     eps = x.eps if isinstance(x, Dual) else 0.0
-    if like is not None:
-        return np.broadcast_to(np.asarray(eps, dtype=float), np.shape(like)).copy()
-    return eps
+    return np.broadcast_to(np.asarray(eps, dtype=float), np.shape(like)).copy()
 
 
 def sqrt(x):

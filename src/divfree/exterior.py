@@ -83,13 +83,13 @@ def form_basis(d, p):
 
 @dataclass(frozen=True)
 class PFormValue:
-    """Pointwise value of a degree-p coefficient array, plus an optional
-    scalar (entropy) slot that rides along untouched by the algebra."""
+    """Pointwise value of a degree-p coefficient array, plus the entropy s
+    that rides along untouched by the algebra."""
 
     d: int
     p: int
     coeffs: np.ndarray
-    entropy: float | None = None
+    s: float = 0.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)

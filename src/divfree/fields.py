@@ -21,7 +21,7 @@ from .exterior import (
     form_basis,
     pullback_coeffs,
 )
-from .models import RelativisticModel, state_to_form
+from .models import RelativisticModel
 from .tensors import general_tensor_array
 
 
@@ -509,8 +509,10 @@ def _finite_vector(name, x, d):
 
 
 def rankine_hugoniot(model, left, right, nu):
-    """Jump report across a plane interface with normal nu, which must be
-    d finite numbers, not all zero, and is scaled to unit length.
+    """Jump report between the states ``left`` and ``right`` (read through
+    their ``.coeffs`` and ``.s``) across a plane interface with normal nu,
+    which must be d finite numbers, not all zero, and is scaled to unit
+    length.
 
     ``row_residuals`` holds |[T] nu| componentwise; for momentum-form models
     the report also carries [m . nu], for relativistic models [rho], and for
@@ -521,14 +523,11 @@ def rankine_hugoniot(model, left, right, nu):
     if not nu.any():
         raise ValueError("normal must be nonzero")
     nu = nu / np.linalg.norm(nu)
-    forms = [state_to_form(model, st) for st in (left, right)]
-    T = [general_tensor_array(model, f.coeffs,
-                              f.entropy if f.entropy is not None else 0.0)
-         for f in forms]
+    T = [general_tensor_array(model, st.coeffs, st.s) for st in (left, right)]
     jump = (T[1] - T[0]) @ nu
     report = {"nu": nu, "row_residuals": np.abs(jump), "jump": jump}
     if model.p == model.d - 1:
-        m = [coeffs_to_momentum(f.coeffs) for f in forms]
+        m = [coeffs_to_momentum(st.coeffs) for st in (left, right)]
         report["m_nu_jump"] = float((m[1] - m[0]) @ nu)
         report["m_left"] = m[0]
         report["m_right"] = m[1]

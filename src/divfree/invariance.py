@@ -61,7 +61,9 @@ def lie_basis(S):
     gens = []
     for a in range(d):
         for b in range(a + 1, d):
-            N = np.outer(S_inv[:, a], _unit(d, b)) - np.outer(S_inv[:, b], _unit(d, a))
+            N = np.zeros((d, d))
+            N[:, b] = S_inv[:, a]
+            N[:, a] = -S_inv[:, b]
             N /= np.linalg.norm(N)
             resid = np.abs(N.T @ S + S @ N).max()
             if resid > 1e-12 * (1.0 + np.abs(S).max()):
@@ -73,15 +75,9 @@ def lie_basis(S):
     return gens
 
 
-def _unit(d, k):
-    e = np.zeros(d)
-    e[k] = 1.0
-    return e
-
-
 def invariance_defect(model, S, states):
     """Max over generators and the states (A, s) of the normalized pairing
-    |<dL/dA, infinitesimal pullback>| / (|dL/dA| |A|)."""
+    |<dL/dA, infinitesimal pullback>| / (|dL/dA| |A|); a NaN pairing wins."""
     basis = lie_basis(S)
     A, s = states
     G = model.gradient(A, s)
@@ -90,8 +86,8 @@ def invariance_defect(model, S, states):
     for N in basis:
         B = infinitesimal_pullback_coeffs(N, A, model.d, model.p)
         pairing = np.abs(np.einsum("...k,...k->...", G, B)) / norm
-        worst = max(worst, float(pairing.max()))
-    return worst
+        worst = np.maximum(worst, pairing.max())
+    return float(worst)
 
 
 def symmetry_defect_max(model, S, states):
@@ -106,7 +102,8 @@ def trace_identity_residual(model, S, states):
     """Max over the skew basis and the states (A, s) of |Tr(S^{-1} A (L I - T^T))|.
 
     Vanishes exactly when the corrected tensor is symmetric; this is the
-    bridge identity between the two sides of the equivalence.
+    bridge identity between the two sides of the equivalence.  A NaN term
+    wins the max.
     """
     S = check_metric(S)
     d = S.shape[0]
@@ -119,8 +116,8 @@ def trace_identity_residual(model, S, states):
     for A in skew_basis(d):
         M = S_inv @ A
         vals = np.abs(np.einsum("ab,...ba->...", M, X))
-        worst = max(worst, float(vals.max()))
-    return worst
+        worst = np.maximum(worst, vals.max())
+    return float(worst)
 
 
 def invariance_symmetry_check(model, S, n_states=128, seed=0,
@@ -130,7 +127,8 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
     The verdict is three-valued: defects at or below ``tol_invariant`` on
     both sides certify the invariant case, defects at or above ``tol_broken``
     on both certify the broken case, anything else is inconclusive.
-    ``agreement`` records whether the two sides landed on the same side.
+    ``agreement`` records whether the two sides landed on the same side;
+    it is false when either defect is NaN or infinite.
     """
     if n_states < 1:
         raise ValueError("need at least one state")
@@ -145,8 +143,9 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
         verdict = "broken-asymmetric"
     else:
         verdict = "inconclusive"
-    agreement = (inv <= tol_invariant) == (sym <= tol_invariant) and \
-                (inv >= tol_broken) == (sym >= tol_broken)
+    agreement = np.isfinite([inv, sym]).all() and \
+        (inv <= tol_invariant) == (sym <= tol_invariant) and \
+        (inv >= tol_broken) == (sym >= tol_broken)
     return {
         "model": model.name,
         "d": model.d,

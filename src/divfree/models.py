@@ -53,14 +53,14 @@ class LagrangianModel:
 
     The class is the model's family: ``GasModel``, ``RelativisticModel`` and
     ``MaxwellModel`` carry their physical helpers and name the state class
-    of their block forms in ``state_type``; a plain ``LagrangianModel`` is
-    generic and takes coefficient states only.
+    of their block forms in ``state_type``; ``IsotropicModel`` and a plain
+    ``LagrangianModel`` take coefficient states.  Each family that draws its
+    own states overrides ``sample_states``.
     """
 
     state_type = None
 
-    def __init__(self, name, d, p, fn, grad_fn=None, metric_hint=None,
-                 sampler=None, params=None):
+    def __init__(self, name, d, p, fn, grad_fn=None, metric_hint=None, params=None):
         self.name = name
         self.d = d
         self.p = p
@@ -69,7 +69,6 @@ class LagrangianModel:
         self._fn = fn
         self._grad_fn = grad_fn
         self.metric_hint = None if metric_hint is None else np.asarray(metric_hint, float)
-        self._sampler = sampler
         self.params = dict(params or {})
 
     def _coerce(self, A):
@@ -93,8 +92,6 @@ class LagrangianModel:
 
     def sample_states(self, rng, n):
         """Batch of admissible states (A, s) with shapes (n, C) and (n,)."""
-        if self._sampler is not None:
-            return self._sampler(rng, n)
         A = rng.standard_normal((n, self.n_coeffs))
         s = 0.3 * rng.standard_normal(n)
         return A, s
@@ -160,6 +157,10 @@ class GasState:
     def m(self):
         return np.concatenate([[self.rho], self.q])
 
+    @property
+    def coeffs(self):
+        return momentum_to_coeffs(self.m)
+
     @classmethod
     def from_coeffs(cls, a, s=0.0):
         m = coeffs_to_momentum(a)
@@ -175,6 +176,10 @@ class RelativisticState:
         self.m = np.asarray(self.m, dtype=float)
         if self.m.shape != (4,):
             raise ValueError("relativistic momentum must be a 4-vector")
+
+    @property
+    def coeffs(self):
+        return momentum_to_coeffs(self.m)
 
     @classmethod
     def from_coeffs(cls, a, s=0.0):
@@ -193,26 +198,19 @@ class EMState:
         if self.E.shape != (3,) or self.B.shape != (3,):
             raise ValueError("E and B must be 3-vectors")
 
+    @property
+    def coeffs(self):
+        return em_to_coeffs(self.E, self.B)
+
     @classmethod
     def from_coeffs(cls, a, s=0.0):
         return cls(*coeffs_to_em(a), s)
 
 
-def state_to_form(model, state):
-    """PFormValue for a physical state, through the frozen identifications."""
-    if isinstance(state, PFormValue):
-        return state
-    if isinstance(state, (GasState, RelativisticState)):
-        return PFormValue(model.d, model.p, momentum_to_coeffs(state.m), state.s)
-    if isinstance(state, EMState):
-        return PFormValue(model.d, model.p, em_to_coeffs(state.E, state.B), state.s)
-    arr = np.asarray(state, dtype=float)
-    return PFormValue(model.d, model.p, arr)
-
-
 def typed_state(model, a, s=0.0):
-    """The inverse of state_to_form: one coefficient row as a state of the
-    model's family, or as a PFormValue for a generic model."""
+    """One coefficient row as a state of the model's family, or as a
+    PFormValue for a model without a state class; the inverse of reading a
+    state's ``.coeffs`` and ``.s``."""
     if model.state_type is None:
         return PFormValue(model.d, model.p, a, float(s))
     return model.state_type.from_coeffs(np.asarray(a, dtype=float), float(s))
@@ -222,53 +220,35 @@ def typed_state(model, a, s=0.0):
 # isotropic 1-form densities
 
 
-def model_isotropic_p1(d=2, profile=None, slope_over_r=None,
-                       name="iso-p1", params=None):
-    """L = profile(s, |A|) on 1-forms; invariant under every rotation of the
-    coefficient vector.  ``slope_over_r`` supplies the exact factor
-    (d profile/dr)/r of the gradient; without it forward-mode duals
-    differentiate the profile.  The default profile is |A|^2 / 2.
-    """
-    if profile is None:
-        profile = lambda u, r: 0.5 * r * r
-        slope_over_r = lambda u, r: np.ones_like(np.asarray(r, dtype=float))
+class IsotropicModel(LagrangianModel):
+    """L = profile(|A|) on 1-forms; invariant under every rotation of the
+    coefficient vector.  ``slope_over_r(r)`` is the exact factor
+    (d profile/dr)/r of the gradient."""
 
-    def fn(comps, s):
+    def __init__(self, d, profile, slope_over_r, name):
+        self.profile = profile
+        self.slope_over_r = slope_over_r
+        super().__init__(name, d, 1, self._density, grad_fn=self._radial_gradient,
+                         metric_hint=euclidean_metric(d), params={"d": d})
+
+    def _density(self, comps, s):
         r2 = comps[0] * comps[0]
         for c in comps[1:]:
             r2 = r2 + c * c
-        return profile(s, dualnum.sqrt(r2))
+        return self.profile(dualnum.sqrt(r2))
 
-    def grad_fn(A, s):
+    def _radial_gradient(self, A, s):
         r = np.sqrt(np.einsum("...k,...k->...", A, A))
-        return slope_over_r(s, r)[..., None] * A
+        return self.slope_over_r(r)[..., None] * A
 
-    def sampler(rng, n):
-        A = rng.standard_normal((n, d))
+    def sample_states(self, rng, n):
+        A = rng.standard_normal((n, self.d))
         norms = np.linalg.norm(A, axis=-1)
         while (norms < 0.2).any():
             bad = norms < 0.2
-            A[bad] = rng.standard_normal((int(bad.sum()), d))
+            A[bad] = rng.standard_normal((int(bad.sum()), self.d))
             norms = np.linalg.norm(A, axis=-1)
         return A, 0.3 * rng.standard_normal(n)
-
-    return LagrangianModel(name, d, 1, fn,
-                           grad_fn=grad_fn if slope_over_r else None,
-                           metric_hint=euclidean_metric(d),
-                           sampler=sampler,
-                           params=dict(params or {}, d=d))
-
-
-def model_minimal_surface(d=3, name="minimal-surface"):
-    """Area integrand L = sqrt(1 + |A|^2); slope/r = 1/sqrt(1+r^2) is smooth
-    through the origin."""
-    return model_isotropic_p1(
-        d=d,
-        profile=lambda u, r: dualnum.sqrt(1.0 + r * r),
-        slope_over_r=lambda u, r: 1.0 / np.sqrt(1.0 + r * r),
-        name=name,
-        params={"d": d},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +282,10 @@ class GasModel(LagrangianModel):
 
     state_type = GasState
 
-    def __init__(self, n=1, internal_energy=None, name="gas", params=None):
-        self.internal_energy = (internal_energy if internal_energy is not None
-                                else polytropic_energy())
+    def __init__(self, n, internal_energy, name, params):
+        self.internal_energy = internal_energy
         super().__init__(name, n + 1, n, self._density, grad_fn=self._coeff_gradient,
-                         params=dict(params or {}, n=n))
+                         params=dict(params, n=n))
 
     def _density(self, comps, s):
         m = momentum_components(comps, self.d)
@@ -441,10 +420,10 @@ def model_relativistic_powerlaw(kappa=4.0 / 3.0, c=1.0, mu=0.0,
                              params={"kappa": kappa, "mu": mu})
 
 
-def model_relativistic_limit(c=1.0, name="relativistic-limit"):
+def model_relativistic_limit(c=1.0):
     """L = rho^2, the boundary case kappa = 2 where genuine jumps are forced
     onto light-like interfaces."""
-    return RelativisticModel(lambda rho, s: rho * rho, c=c, name=name,
+    return RelativisticModel(lambda rho, s: rho * rho, c=c, name="relativistic-limit",
                              params={"kappa": 2.0})
 
 
@@ -487,7 +466,7 @@ class MaxwellModel(LagrangianModel):
         return em_to_coeffs(E, B), 0.3 * rng.standard_normal(n)
 
 
-def model_maxwell_linear(name="maxwell-linear"):
+def model_maxwell_linear():
     """Vacuum density L = (|E|^2 - |B|^2) / 2, so D = E and H = B."""
     def lag(E, B, s):
         acc = 0.0
@@ -500,7 +479,7 @@ def model_maxwell_linear(name="maxwell-linear"):
     def material(E, B, s):
         return E, B
 
-    return MaxwellModel(lag, material=material, name=name)
+    return MaxwellModel(lag, material=material, name="maxwell-linear")
 
 
 def _em_invariants(E, B):
@@ -516,13 +495,12 @@ def _em_invariants(E, B):
     return X, Y
 
 
-def model_maxwell_lorentz(F=None, name="maxwell-lorentz", params=None):
-    """L = F(X, Y) in the two frame invariants X = (|E|^2 - |B|^2)/2 and
-    Y = E . B; symmetric corrected tensor for any F."""
-    if F is None:
-        a, b, cxy = 0.05, 0.07, 0.03
-        params = {"a": a, "b": b, "cxy": cxy}
-        F = lambda X, Y, s: X + a * X * X + b * Y * Y + cxy * X * Y
+def model_maxwell_lorentz():
+    """L = F(X, Y) = X + a X^2 + b Y^2 + cxy X Y in the two frame invariants
+    X = (|E|^2 - |B|^2)/2 and Y = E . B; a density of the invariants alone
+    has a symmetric corrected tensor."""
+    a, b, cxy = 0.05, 0.07, 0.03
+    F = lambda X, Y, s: X + a * X * X + b * Y * Y + cxy * X * Y
 
     def lag(E, B, s):
         X, Y = _em_invariants(E, B)
@@ -537,10 +515,11 @@ def model_maxwell_lorentz(F=None, name="maxwell-lorentz", params=None):
         H = FX[..., None] * B - FY[..., None] * E
         return D, H
 
-    return MaxwellModel(lag, material=material, name=name, params=params)
+    return MaxwellModel(lag, material=material, name="maxwell-lorentz",
+                        params={"a": a, "b": b, "cxy": cxy})
 
 
-def model_maxwell_anisotropic(name="maxwell-anisotropic"):
+def model_maxwell_anisotropic():
     """L = |E|^2: a frame-anisotropic density used as the broken-symmetry
     counterexample (D = 2E, H = 0)."""
     def lag(E, B, s):
@@ -552,7 +531,7 @@ def model_maxwell_anisotropic(name="maxwell-anisotropic"):
     def material(E, B, s):
         return 2.0 * E, np.zeros_like(B)
 
-    return MaxwellModel(lag, material=material, name=name)
+    return MaxwellModel(lag, material=material, name="maxwell-anisotropic")
 
 
 # ---------------------------------------------------------------------------
@@ -580,53 +559,46 @@ def _compile_expression(expr, names):
     except SyntaxError as exc:
         raise ValueError(f"cannot parse {expr!r}: {exc.msg}") from None
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp):
+    def build(node):
+        # check one node and return its closure env -> value
+        if isinstance(node, ast.BinOp):
             if type(node.op) not in _BINOPS:
                 raise ValueError(f"operator {type(node.op).__name__} not allowed")
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp):
+            op, left, right = _BINOPS[type(node.op)], build(node.left), build(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp):
             if not isinstance(node.op, (ast.UAdd, ast.USub)):
                 raise ValueError("only unary +/- allowed")
-            check(node.operand)
-        elif isinstance(node, ast.Call):
+            operand = build(node.operand)
+            if isinstance(node.op, ast.UAdd):
+                return operand
+            return lambda env: -operand(env)
+        if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in dualnum.FUNCTIONS:
                 raise ValueError("only whitelisted functions allowed")
             if node.keywords or len(node.args) != 1:
                 raise ValueError("functions take one positional argument")
-            check(node.args[0])
-        elif isinstance(node, ast.Name):
-            if node.id not in names and node.id not in _CONSTANTS:
-                raise ValueError(f"unknown name {node.id!r}")
-        elif isinstance(node, ast.Constant):
+            fn, arg = dualnum.FUNCTIONS[node.func.id], build(node.args[0])
+            return lambda env: fn(arg(env))
+        if isinstance(node, ast.Name):
+            key = node.id
+            if key in names:
+                return lambda env: env[key]
+            if key not in _CONSTANTS:
+                raise ValueError(f"unknown name {key!r}")
+            constant = _CONSTANTS[key]
+            return lambda env: constant
+        if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ValueError("only numeric constants allowed")
-        else:
-            raise ValueError(f"syntax {type(node).__name__} not allowed")
+            constant = node.value
+            return lambda env: constant
+        raise ValueError(f"syntax {type(node).__name__} not allowed")
 
-    check(tree)
-
-    def run(node, env):
-        if isinstance(node, ast.Expression):
-            return run(node.body, env)
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](run(node.left, env), run(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            v = run(node.operand, env)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.Call):
-            return dualnum.FUNCTIONS[node.func.id](run(node.args[0], env))
-        if isinstance(node, ast.Name):
-            return env[node.id] if node.id in env else _CONSTANTS[node.id]
-        return node.value
-
-    return lambda env: run(tree, env)
+    return build(tree.body)
 
 
-def model_from_expression(expr, d, p, name="user-expr", metric_hint=None):
+def model_from_expression(expr, d, p):
     """Density from an expression string over the canonical coefficient names
     (A0, A01, ...) and s; operators + - * / ^ and whitelisted functions."""
     names = coefficient_names(d, p)
@@ -640,7 +612,7 @@ def model_from_expression(expr, d, p, name="user-expr", metric_hint=None):
             out = out + 0.0 * comps[0]  # broadcast constants over the batch
         return out
 
-    return LagrangianModel(name, d, p, fn, metric_hint=metric_hint,
+    return LagrangianModel("user-expr", d, p, fn,
                            params={"expr": expr, "d": d, "p": p})
 
 
@@ -680,9 +652,14 @@ def _user_expr_factory(expr=None, d=None, p=None):
 
 
 REGISTRY = {
-    "iso-p1": ModelEntry(lambda d=2: model_isotropic_p1(d=_integer("d", d)),
+    "iso-p1": ModelEntry(lambda d=2: IsotropicModel(
+                             _integer("d", d), lambda r: 0.5 * r * r,
+                             lambda r: np.ones_like(np.asarray(r, dtype=float)), "iso-p1"),
                          "isotropic 1-form density L = |A|^2 / 2"),
-    "minimal-surface": ModelEntry(lambda d=3: model_minimal_surface(d=_integer("d", d)),
+    # slope/r = 1/sqrt(1 + r^2) is smooth through the origin
+    "minimal-surface": ModelEntry(lambda d=3: IsotropicModel(
+                                      _integer("d", d), lambda r: dualnum.sqrt(1.0 + r * r),
+                                      lambda r: 1.0 / np.sqrt(1.0 + r * r), "minimal-surface"),
                                   "area integrand L = sqrt(1 + |A|^2)"),
     "gas": ModelEntry(lambda n=1, gamma=2.0, mu=0.0: _polytropic_gas("gas", n, gamma, mu),
                       "gas dynamics, L = |q|^2/(2 rho) - g(rho, s)"),

@@ -24,16 +24,14 @@ import numpy as np
 from .conventions import coeffs_to_momentum, em_to_coeffs, momentum_to_coeffs
 from .exterior import PFormValue, form_basis
 from .models import (EMState, GasModel, GasState, MaxwellModel, RelativisticModel,
-                     RelativisticState, state_to_form)
+                     RelativisticState)
 
 
 @dataclass
 class TensorValue:
-    """A d x d tensor sample, with the metric the producing model suggests
-    for the symmetry test (may be None)."""
+    """A d x d tensor sample with finite entries."""
 
     entries: np.ndarray
-    metric: np.ndarray | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
@@ -101,19 +99,18 @@ def general_tensor_array(model, A, s=0.0):
 
 
 def assemble_general(model, form, s=0.0):
-    """The divergence-free tensor of a density at one coefficient value."""
+    """The divergence-free tensor of a density at one coefficient value: a
+    coefficient array at entropy s, or a PFormValue with its own s."""
     if isinstance(form, PFormValue):
-        if form.entropy is not None:
-            s = form.entropy
-        A = form.coeffs
-    else:
-        A = np.asarray(form, dtype=float)
-    return TensorValue(general_tensor_array(model, A, s), metric=model.metric_hint)
+        form, s = form.coeffs, form.s
+    return TensorValue(general_tensor_array(model, form, s))
 
 
-def nform_tensor_array(model, m, s=0.0):
+def assemble_nform(model, m, s=0.0):
     """Closed form for momentum (d-1)-forms:
     T = dL/dm (x) m + (L - m . dL/dm) I."""
+    if model.p != model.d - 1:
+        raise ValueError("closed n-form assembly needs p = d - 1")
     m = np.asarray(m, dtype=float)
     A = momentum_to_coeffs(m)
     L = np.asarray(model.evaluate(A, s), dtype=float)
@@ -122,13 +119,7 @@ def nform_tensor_array(model, m, s=0.0):
     d = m.shape[-1]
     T = np.einsum("...i,...j->...ij", dLdm, m)
     T[..., range(d), range(d)] += scalar[..., None]
-    return T
-
-
-def assemble_nform(model, m, s=0.0):
-    if model.p != model.d - 1:
-        raise ValueError("closed n-form assembly needs p = d - 1")
-    return TensorValue(nform_tensor_array(model, m, s), metric=model.metric_hint)
+    return TensorValue(T)
 
 
 def _require_family(model, state, family):
@@ -163,7 +154,7 @@ def assemble_gas(model, state):
     Tp = T.copy()
     Tp[0, 0] = rho
     Tp[0, 1:] = q
-    return TensorValue(T, metric=model.metric_hint), TensorValue(Tp, metric=model.metric_hint)
+    return TensorValue(T), TensorValue(Tp)
 
 
 def assemble_relativistic(model, state):
@@ -188,7 +179,7 @@ def assemble_relativistic(model, state):
     Tp_b = (e * model.c ** 2 + p) * np.outer(u, u) + p * Lam_inv
     if not np.allclose(Tp_a, Tp_b, rtol=1e-10, atol=1e-10):
         raise AssertionError("the two closed forms of T' disagree")
-    return TensorValue(T, metric=model.metric_hint), TensorValue(Tp_a, metric=model.metric_hint)
+    return TensorValue(T), TensorValue(Tp_a)
 
 
 def assemble_maxwell(model, state):
@@ -200,7 +191,7 @@ def assemble_maxwell(model, state):
     """
     _require_family(model, state, MaxwellModel)
     E, B, s = state.E, state.B, state.s
-    D, H, _ = model.fields(E, B, s)
+    D, H = model.material(E, B, s)
     L = float(model.evaluate(em_to_coeffs(E, B), s))
     T = np.zeros((4, 4))
     T[0, 0] = L - E @ D
@@ -208,22 +199,16 @@ def assemble_maxwell(model, state):
     T[1:, 0] = np.cross(D, B)
     T[1:, 1:] = (L + B @ H) * np.eye(3) - np.outer(E, D) - np.outer(H, B)
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    return TensorValue(T, metric=model.metric_hint), TensorValue(eta @ T, metric=model.metric_hint)
+    return TensorValue(T), TensorValue(eta @ T)
 
 
-def symmetry_defect(tensor, S=None):
-    """Max-norm asymmetry of S^{-1} T (plain T when S is None)."""
-    if isinstance(tensor, TensorValue):
-        if S is None:
-            S = tensor.metric
-        T = tensor.entries
-    else:
-        T = np.asarray(tensor, dtype=float)
-    if S is None:
-        C = T
-    else:
+def symmetry_defect(T, S=None):
+    """Max-norm asymmetry of S^{-1} T (plain T when S is None) over the
+    trailing (d, d) axes of an array T."""
+    C = np.asarray(T, dtype=float)
+    if S is not None:
         S_inv = np.linalg.inv(np.asarray(S, dtype=float))  # raises if singular
-        C = np.einsum("ab,...bc->...ac", S_inv, T)
+        C = np.einsum("ab,...bc->...ac", S_inv, C)
     defect = np.abs(C - np.swapaxes(C, -1, -2)).max(axis=(-1, -2))
     return float(defect) if defect.ndim == 0 else defect
 
@@ -234,7 +219,8 @@ def assemble(model, state):
     A state of a family's type goes through that family's block form:
     ``tensor``, ``tensor_prime`` and ``pressure`` for gas and relativistic
     states, ``tensor`` and ``tensor_tilde`` for an EMState.  Any other state
-    goes through the general formula and gives ``tensor`` alone.
+    (a PFormValue or a coefficient array) goes through the general formula
+    and gives ``tensor`` alone.
     """
     if isinstance(state, EMState):
         T, Tt = assemble_maxwell(model, state)
@@ -246,6 +232,6 @@ def assemble(model, state):
         T, Tp = assemble_relativistic(model, state)
         rho = model.rho_of(state.m)
     else:
-        return {"tensor": assemble_general(model, state_to_form(model, state)).entries}
+        return {"tensor": assemble_general(model, state).entries}
     return {"tensor": T.entries, "tensor_prime": Tp.entries,
             "pressure": float(model.pressure(rho, state.s))}

@@ -181,6 +181,40 @@ def test_variation_command(capsys):
     assert len(report["levels"]) == 2
 
 
+@pytest.mark.parametrize("flags", (
+    ["--eps", "0"], ["--eps", "nan"], ["--eps", "inf"], ["-n", "0"], ["-n", "5"],
+    ["--d", "0", "--p", "0"],
+))
+def test_vacuous_variation_is_an_input_error(capsys, flags):
+    # -n 5 leaves the bump support without a node: xi = 0 everywhere
+    argv = ["variation", "--d", "2", "--p", "1", "--levels", "2", *flags]
+    assert_one_error_line(capsys, argv)
+
+
+def test_nan_invariance_defects_reach_the_report():
+    # exp(1000 A0) overflows: the defects are NaN, not the 0 a Python max
+    # would leave, the verdict disagrees and stderr stays free of warnings
+    done = run_cli_process(["invariance", "--model", "user-expr", "--params",
+                            "expr=exp(A0*1000),d=2,p=1", "--metric", "euclidean"])
+    assert done.returncode == 2 and done.stderr == ""
+    report = json.loads(done.stdout)
+    for key in ("invariance_defect", "symmetry_defect", "trace_identity_residual"):
+        assert report[key] == "nan"
+    assert report["agreement"] is False and report["verdict"] == "inconclusive"
+
+
+def test_overflow_prints_no_numpy_warnings():
+    jump = run_cli_process(["jump", "--model", "gas", "--left", '{"rho": 1e-300, "q": [1e200]}',
+                            "--right", '{"rho": 1, "q": [0]}', "--normal", "[1, 0]"])
+    assert jump.returncode == 2 and jump.stderr == ""
+    assert json.loads(jump.stdout)["row_residuals"] == ["nan", "nan"]
+    tensor = run_cli_process(["tensor", "--model", "gas", "--state",
+                              '{"rho": 1e-300, "q": [1e200]}'])
+    assert tensor.returncode == 1 and tensor.stdout == ""
+    lines = tensor.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["tensor", "--model", "nope", "--state", "{}"]) == 1
     capsys.readouterr()
@@ -315,7 +349,7 @@ def test_parse_state_selects_the_right_type():
     assert isinstance(st, PFormValue)
     # coefficients are valid for every model; other keys follow its class
     st = _parse_state(rel, '{"coeffs": [0.3, 0.1, -0.2, 2.0], "s": 0.5}')
-    assert isinstance(st, PFormValue) and st.entropy == 0.5
+    assert isinstance(st, PFormValue) and st.s == 0.5
     with pytest.raises(ValueError):
         _parse_state(rel, '{"E": [1, 0, 0], "B": [0, 1, 0]}')
     with pytest.raises(ValueError):

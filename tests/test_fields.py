@@ -394,6 +394,17 @@ def test_variation_derivative_refines_at_second_order():
     assert study["orders"][0] > 1.9
 
 
+@pytest.mark.parametrize("kwargs, name", (
+    ({"eps0": 0.0}, "eps0"), ({"eps0": float("nan")}, "eps0"),
+    ({"eps0": float("inf")}, "eps0"), ({"n0": 0}, "n0"), ({"n0": 5}, "n0"),
+    ({"d": 0, "p": 0}, "d"),
+))
+def test_variation_study_rejects_vacuous_input(kwargs, name):
+    args = {"d": 2, "p": 1, "levels": 2, **kwargs}
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        variation_study(**args)
+
+
 def test_variation_validation():
     iso = build_model("iso-p1")
     g = _gas_momentum_grid(8)

@@ -16,14 +16,13 @@ from divfree.models import (
     EvaluationDomainError,
     GasModel,
     GasState,
-    LagrangianModel,
+    IsotropicModel,
     LuminalStateError,
     MaxwellModel,
     RelativisticModel,
     RelativisticState,
     list_models,
     model_from_expression,
-    state_to_form,
     typed_state,
 )
 
@@ -208,20 +207,17 @@ def test_sampled_states_are_admissible(name):
 def test_state_to_form_round_trips():
     gas = build_model("gas")
     st = GasState(rho=1.3, q=[0.4], s=0.2)
-    form = state_to_form(gas, st)
-    assert form.d == 2 and form.p == 1
-    assert np.abs(form.coeffs - momentum_to_coeffs(st.m)).max() == 0.0
-    assert form.entropy == 0.2
-    mx = build_model("maxwell-linear")
+    assert gas.d == 2 and gas.p == 1 and st.coeffs.shape == (gas.n_coeffs,)
+    assert np.abs(st.coeffs - momentum_to_coeffs(st.m)).max() == 0.0
+    assert st.s == 0.2
     E = np.array([1.0, 0.0, 0.0])
     B = np.array([0.0, 1.0, 0.0])
-    fm = state_to_form(mx, EMState(E=E, B=B))
-    assert np.abs(fm.coeffs - em_to_coeffs(E, B)).max() == 0.0
+    assert np.abs(EMState(E=E, B=B).coeffs - em_to_coeffs(E, B)).max() == 0.0
 
 
 @pytest.mark.parametrize("name, cls, state", (
-    ("iso-p1", LagrangianModel, PFormValue),
-    ("minimal-surface", LagrangianModel, PFormValue),
+    ("iso-p1", IsotropicModel, PFormValue),
+    ("minimal-surface", IsotropicModel, PFormValue),
     ("gas", GasModel, GasState),
     ("gas-polytropic", GasModel, GasState),
     ("relativistic", RelativisticModel, RelativisticState),
@@ -239,9 +235,8 @@ def test_typed_state_inverts_state_to_form(name, cls, state):
     for a, sk in zip(A, s):
         st = typed_state(model, a, sk)
         assert type(st) is state
-        assert (st.entropy if state is PFormValue else st.s) == sk
-        form = state_to_form(model, st)
-        assert np.abs(form.coeffs - a).max() == 0.0
+        assert st.s == sk
+        assert np.abs(st.coeffs - a).max() == 0.0
 
 
 def test_expression_model_matches_closed_isotropic():
@@ -273,6 +268,17 @@ def test_expression_model_uses_entropy():
     A = np.array([2.0, 3.0])
     assert m.evaluate(A, 0.5) == 10.0
     assert np.abs(m.gradient(A, 0.5) - np.array([0.5, 6.0])).max() < 1e-13
+
+
+def test_expression_grammar_matches_numpy_bitwise():
+    # every accepted node: unary -/+, pi, e, + - * / ^, a whitelisted call, s
+    model = model_from_expression("-A0^2/2 + +A1*pi - 2^A0 + atan(A1)/e - s*A1", 2, 1)
+    rng = np.random.default_rng(12)
+    A = rng.uniform(-2.0, 2.0, (40, 2))
+    s = rng.standard_normal(40)
+    A0, A1 = A[..., 0], A[..., 1]
+    want = -A0 ** 2 / 2 + +A1 * np.pi - 2 ** A0 + np.arctan(A1) / np.e - s * A1
+    assert model.evaluate(A, s).tobytes() == want.tobytes()
 
 
 def test_expression_model_rejects_unknown_names():
