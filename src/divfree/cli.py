@@ -247,6 +247,8 @@ def cmd_verify(args):
         if args.manufactured == "list":
             return {"command": "verify", "cases": list_cases()}, False
         if args.refine:
+            if args.levels < 2:
+                raise ValueError(f"--levels must be at least 2, not {args.levels}")
             ns = [args.n * (1 << k) for k in range(args.levels)]
             report = case_refinement(args.manufactured, ns)
             failed = any(_expectation_failed(r, args.min_order, report["orders"])
@@ -286,6 +288,8 @@ def cmd_verify(args):
 
 
 def cmd_variation(args):
+    if args.levels < 2:
+        raise ValueError(f"--levels must be at least 2, not {args.levels}")
     report = variation_study(args.d, args.p, seed=args.seed, levels=args.levels,
                              n0=args.n, eps0=args.eps, substeps=args.substeps)
     report["command"] = "variation"

@@ -1,19 +1,21 @@
 """Orthogonal-group invariance and the corrected-tensor symmetry test.
 
 For a symmetric nondegenerate S, the group O(S) = {M : M^T S M = S} has Lie
-algebra {N : N^T S + S N = 0} = S^{-1} . Skew.  A density is invariant under
-the neutral component of O(S) exactly when S^{-1} T is symmetric; both sides
-are measured numerically here, each on its own terms:
+algebra {N : N^T S + S N = 0}, spanned by the generators S^{-1}(E_ab - E_ba),
+a < b.  A density is invariant under the neutral component of O(S) exactly
+when S^{-1} T is symmetric.  One pass over the generators measures, at each
+sampled state (A, s) and for each generator N:
 
-* invariance_defect contracts the coefficient gradient with the infinitesimal
-  pullback along every algebra generator,
-* symmetry_defect (from the assembly module) measures the asymmetry of the
-  corrected tensor,
-* the trace identity Tr(S^{-1} A (L I - T^T)) = 0 over skew A ties the two
-  together without reference to either convention.
+* the pairing G . (N . A) of the coefficient gradient G = dL/dA with the
+  infinitesimal pullback along N, which vanishes for every N exactly when
+  the density is invariant;
+* the trace Tr(N (L I - T^T)) = -sum_ij N_ij T_ij (Tr N = 0), which vanishes
+  for every N exactly when S^{-1} T is symmetric.
 
-Quantified over all of the algebra the equivalence is convention-free even
-though individual generators transform differently under transposition.
+The two are equal state by state and generator by generator; that identity
+is the bridge between the sides, and their gap is reported so a test can
+hold the code to it.  Generator by generator the pass also shows a partial
+invariance, such as a density invariant under rotations but not boosts.
 """
 from __future__ import annotations
 
@@ -35,21 +37,9 @@ def check_metric(S):
     return S
 
 
-def skew_basis(d):
-    """Unit-Frobenius basis E_ab - E_ba, a < b, of the skew matrices."""
-    out = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            A = np.zeros((d, d))
-            A[a, b] = 1.0
-            A[b, a] = -1.0
-            out.append(A / np.sqrt(2.0))
-    return out
-
-
 def lie_basis(S):
-    """List of the normalized generators S^{-1}(E_ab - E_ba) of the algebra
-    of O(S).
+    """The normalized generators S^{-1}(E_ab - E_ba) of the algebra of O(S),
+    as a dict keyed by the index pair "ab" (a < b).
 
     Postconditions checked on construction: each generator satisfies
     N^T S + S N = 0 to near roundoff and the set is linearly independent
@@ -58,7 +48,7 @@ def lie_basis(S):
     S = check_metric(S)
     d = S.shape[0]
     S_inv = np.linalg.inv(S)
-    gens = []
+    gens = {}
     for a in range(d):
         for b in range(a + 1, d):
             N = np.zeros((d, d))
@@ -68,56 +58,33 @@ def lie_basis(S):
             resid = np.abs(N.T @ S + S @ N).max()
             if resid > 1e-12 * (1.0 + np.abs(S).max()):
                 raise AssertionError("generator fails the algebra relation")
-            gens.append(N)
-    stacked = np.stack([N.ravel() for N in gens])
+            gens[f"{a}{b}"] = N
+    stacked = np.stack([N.ravel() for N in gens.values()])
     if np.linalg.matrix_rank(stacked, tol=1e-10) != len(gens):
         raise AssertionError("generators are linearly dependent")
     return gens
 
 
-def invariance_defect(model, S, states):
-    """Max over generators and the states (A, s) of the normalized pairing
-    |<dL/dA, infinitesimal pullback>| / (|dL/dA| |A|); a NaN pairing wins."""
-    basis = lie_basis(S)
-    A, s = states
-    G = model.gradient(A, s)
-    norm = (np.linalg.norm(G, axis=-1) * np.linalg.norm(A, axis=-1)) + 1e-300
-    worst = 0.0
-    for N in basis:
-        B = infinitesimal_pullback_coeffs(N, A, model.d, model.p)
-        pairing = np.abs(np.einsum("...k,...k->...", G, B)) / norm
-        worst = np.maximum(worst, pairing.max())
-    return float(worst)
+def generator_defects(model, S, states):
+    """One pass over the generators of O(S) at the states (A, s).
 
-
-def symmetry_defect_max(model, S, states):
-    """Max asymmetry of S^{-1} T over the states (A, s)."""
-    check_metric(S)
+    Returns the tensor T at the states and, for each generator N of
+    ``lie_basis(S)`` by name, a dict of arrays over the states: the signed
+    ``pairing`` G . (N . A), the ``trace`` Tr(N (L I - T^T)), their ``gap``
+    |pairing - trace| and the normalized ``defect`` |pairing| / (|G| |A|).
+    """
     A, s = states
     T = general_tensor_array(model, A, s)
-    return float(np.max(symmetry_defect(T, S)))
-
-
-def trace_identity_residual(model, S, states):
-    """Max over the skew basis and the states (A, s) of |Tr(S^{-1} A (L I - T^T))|.
-
-    Vanishes exactly when the corrected tensor is symmetric; this is the
-    bridge identity between the two sides of the equivalence.  A NaN term
-    wins the max.
-    """
-    S = check_metric(S)
-    d = S.shape[0]
-    A_states, s = states
-    L = np.asarray(model.evaluate(A_states, s), dtype=float)
-    T = general_tensor_array(model, A_states, s)
-    X = L[..., None, None] * np.eye(d) - np.swapaxes(T, -1, -2)
-    S_inv = np.linalg.inv(S)
-    worst = 0.0
-    for A in skew_basis(d):
-        M = S_inv @ A
-        vals = np.abs(np.einsum("ab,...ba->...", M, X))
-        worst = np.maximum(worst, vals.max())
-    return float(worst)
+    G = model.gradient(A, s)
+    norm = (np.linalg.norm(G, axis=-1) * np.linalg.norm(A, axis=-1)) + 1e-300
+    out = {}
+    for name, N in lie_basis(S).items():
+        B = infinitesimal_pullback_coeffs(N, A, model.d, model.p)
+        pairing = np.einsum("...k,...k->...", G, B)
+        trace = -np.einsum("ij,...ij->...", N, T)
+        out[name] = {"pairing": pairing, "trace": trace,
+                     "gap": np.abs(pairing - trace), "defect": np.abs(pairing) / norm}
+    return T, out
 
 
 def invariance_symmetry_check(model, S, n_states=128, seed=0,
@@ -128,15 +95,22 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
     both sides certify the invariant case, defects at or above ``tol_broken``
     on both certify the broken case, anything else is inconclusive.
     ``agreement`` records whether the two sides landed on the same side;
-    it is false when either defect is NaN or infinite.
+    it is false when either defect is NaN or infinite.  Each maximum over
+    the states and generators lets a NaN term win.
     """
     if n_states < 1:
         raise ValueError("need at least one state")
+    if not (np.isfinite([tol_invariant, tol_broken]).all()
+            and 0 <= tol_invariant < tol_broken):
+        raise ValueError("tolerances must be finite with 0 <= tol_invariant < tol_broken, "
+                         f"not {tol_invariant} and {tol_broken}")
     S = check_metric(S)
     states = model.sample_states(np.random.default_rng(seed), n_states)
-    inv = invariance_defect(model, S, states=states)
-    sym = symmetry_defect_max(model, S, states=states)
-    trace = trace_identity_residual(model, S, states=states)
+    T, gens = generator_defects(model, S, states)
+    defects = {name: float(np.max(g["defect"])) for name, g in gens.items()}
+    inv = float(np.max(list(defects.values())))
+    sym = float(np.max(symmetry_defect(T, S)))
+    trace = float(np.max([np.abs(g["trace"]).max() for g in gens.values()]))
     if inv <= tol_invariant and sym <= tol_invariant:
         verdict = "invariant-symmetric"
     elif inv >= tol_broken and sym >= tol_broken:
@@ -153,6 +127,8 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
         "invariance_defect": inv,
         "symmetry_defect": sym,
         "trace_identity_residual": trace,
+        "generator_defects": defects,
+        "invariant_generators": [n for n, v in defects.items() if v <= tol_invariant],
         "verdict": verdict,
         "agreement": bool(agreement),
         "seed": seed,

@@ -373,10 +373,12 @@ def variation_study(d, p, seed=0, levels=3, n0=8, eps0=0.01, substeps=8):
     The variation support snaps to nodes of the coarsest grid, so every
     refinement sees the same seam geometry and the error expansion in h
     stays clean.  That support holds a node from n0 = 6 on; a smaller n0,
-    a zero or non-finite eps0 and d < 1 are ValueErrors.
+    a zero or non-finite eps0, d < 1 and p outside 1..d are ValueErrors.
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, not {d}")
+    if not 1 <= p <= d:
+        raise ValueError(f"p must be in 1..{d}, not {p}")
     if n0 < 6:
         raise ValueError(f"n0 must be at least 6, not {n0}: the support holds no node")
     if eps0 == 0 or not math.isfinite(eps0):

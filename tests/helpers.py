@@ -9,12 +9,32 @@ import numpy as np
 import divfree
 from divfree.conventions import momentum_to_coeffs
 from divfree.fields import _LAM_GRID
-from divfree.tensors import general_tensor_array
+from divfree.invariance import generator_defects
+from divfree.tensors import general_tensor_array, symmetry_defect
 
 
 def sampled_states(model, n, seed):
     """Admissible (A, s) batch drawn through the model's own sampler."""
     return model.sample_states(np.random.default_rng(seed), n)
+
+
+def pass_maxima(model, S, states):
+    """The invariance check's three maxima at the given states, from one
+    generator_defects pass: the normalized invariance defect, the asymmetry
+    of S^{-1} T and the trace residual; a NaN term wins each."""
+    T, gens = generator_defects(model, S, states)
+    inv = np.max([g["defect"].max() for g in gens.values()])
+    trace = np.max([np.abs(g["trace"]).max() for g in gens.values()])
+    return float(inv), float(np.max(symmetry_defect(T, S))), float(trace)
+
+
+def trace_identity_gap(model, S, states):
+    """Worst over the generators of |pairing - trace| / max(1, max |pairing|);
+    the identity G . (N . A) = Tr(N (L I - T^T)) holds when it is at
+    roundoff.  A NaN gap wins."""
+    _, gens = generator_defects(model, S, states)
+    return float(np.max([g["gap"].max() / max(1.0, np.abs(g["pairing"]).max())
+                         for g in gens.values()]))
 
 
 def limit_jump_states(model, m_left, nu, lam):

@@ -27,12 +27,11 @@ from divfree import (
     variation_study,
 )
 from divfree.fields import _family_residual, rankine_hugoniot
-from divfree.invariance import invariance_defect, symmetry_defect_max, trace_identity_residual
 from divfree.manufactured import run_case
 from divfree.models import RelativisticState, typed_state
 from divfree.tensors import general_tensor_array
 
-from helpers import limit_jump_states, rel_gap, run_cli_process, sampled_states
+from helpers import limit_jump_states, pass_maxima, rel_gap, run_cli_process, sampled_states
 
 N_STATES = 100
 
@@ -114,11 +113,8 @@ def test_criterion_02_invariance_symmetry_equivalence(conclude):
         sym_worst = max(sym_worst, rep["symmetry_defect"])
     broken_floor = np.inf
     for name, metric, A_w in BROKEN_PAIRS:
-        states = (A_w[None, :], np.zeros(1))
-        model = build_model(name)
-        S = metric()
-        broken_floor = min(broken_floor, invariance_defect(model, S, states=states))
-        broken_floor = min(broken_floor, symmetry_defect_max(model, S, states=states))
+        inv, sym, _ = pass_maxima(build_model(name), metric(), (A_w[None, :], np.zeros(1)))
+        broken_floor = min(broken_floor, inv, sym)
     dt = time.perf_counter() - t0
     ok = inv_worst <= 1e-10 and sym_worst <= 1e-10 and broken_floor >= 1e-2 and dt < 5.0
     conclude(2, "invariance and corrected symmetry hold or fail together",
@@ -131,8 +127,8 @@ def test_criterion_03_trace_identity(conclude):
     worst = 0.0
     for name, metric in INVARIANT_PAIRS:
         model = build_model(name)
-        worst = max(worst, trace_identity_residual(
-            model, metric(), model.sample_states(np.random.default_rng(7), N_STATES)))
+        worst = max(worst, pass_maxima(
+            model, metric(), model.sample_states(np.random.default_rng(7), N_STATES))[2])
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10
     conclude(3, "generator trace identity vanishes for invariant densities",

@@ -66,13 +66,17 @@ def test_invariance_command_matches_the_library(capsys):
     assert report["verdict"] == direct["verdict"]
     assert report["invariance_defect"] == direct["invariance_defect"]
     assert report["symmetry_defect"] == direct["symmetry_defect"]
+    assert report["generator_defects"] == direct["generator_defects"]
+    assert report["invariant_generators"] == ["01"]
 
 
 def test_invariance_broken_model_still_agrees(capsys):
     code, out = run_cli(capsys, ["invariance", "--model", "gas",
                                  "--metric", "euclidean"])
     assert code == 0
-    assert json.loads(out)["verdict"] == "broken-asymmetric"
+    report = json.loads(out)
+    assert report["verdict"] == "broken-asymmetric"
+    assert report["invariant_generators"] == []
 
 
 def test_verify_manufactured_case(capsys):
@@ -183,12 +187,30 @@ def test_variation_command(capsys):
 
 @pytest.mark.parametrize("flags", (
     ["--eps", "0"], ["--eps", "nan"], ["--eps", "inf"], ["-n", "0"], ["-n", "5"],
-    ["--d", "0", "--p", "0"],
+    ["--d", "0", "--p", "0"], ["--levels", "0"], ["--levels", "1"], ["--p", "0"],
+    ["--p", "3"],
 ))
 def test_vacuous_variation_is_an_input_error(capsys, flags):
-    # -n 5 leaves the bump support without a node: xi = 0 everywhere
+    # -n 5 leaves the bump support without a node: xi = 0 everywhere; one
+    # level measures no order
     argv = ["variation", "--d", "2", "--p", "1", "--levels", "2", *flags]
     assert_one_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("levels", ("0", "1"))
+def test_refinement_with_one_level_is_an_input_error(capsys, levels):
+    line = assert_one_error_line(capsys, ["verify", "--manufactured", "closed-cubic",
+                                          "--refine", "--levels", levels])
+    assert "--levels" in line
+
+
+@pytest.mark.parametrize("tols", (
+    ["--tol-invariant", "nan"], ["--tol-invariant", "-1"], ["--tol-broken", "inf"],
+    ["--tol-invariant", "1", "--tol-broken", "0.5"],
+    ["--tol-invariant", "0.5", "--tol-broken", "0.5"],
+))
+def test_invariance_tolerances_are_validated(capsys, tols):
+    assert_one_error_line(capsys, ["invariance", "--model", "gas", *tols])
 
 
 def test_nan_invariance_defects_reach_the_report():

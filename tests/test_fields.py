@@ -397,7 +397,7 @@ def test_variation_derivative_refines_at_second_order():
 @pytest.mark.parametrize("kwargs, name", (
     ({"eps0": 0.0}, "eps0"), ({"eps0": float("nan")}, "eps0"),
     ({"eps0": float("inf")}, "eps0"), ({"n0": 0}, "n0"), ({"n0": 5}, "n0"),
-    ({"d": 0, "p": 0}, "d"),
+    ({"d": 0, "p": 0}, "d"), ({"p": 0}, "p"), ({"p": 3}, "p"),
 ))
 def test_variation_study_rejects_vacuous_input(kwargs, name):
     args = {"d": 2, "p": 1, "levels": 2, **kwargs}

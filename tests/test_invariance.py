@@ -12,15 +12,10 @@ from divfree import (
     momentum_to_coeffs,
 )
 from divfree.exterior import form_basis, pullback_coeffs, pullback_matrix
-from divfree.invariance import (
-    check_metric,
-    invariance_defect,
-    lie_basis,
-    skew_basis,
-    symmetry_defect_max,
-    trace_identity_residual,
-)
-from divfree.models import LagrangianModel
+from divfree.invariance import check_metric, lie_basis
+from divfree.models import LagrangianModel, list_models
+
+from helpers import pass_maxima, sampled_states, trace_identity_gap
 
 INVARIANT = (
     ("iso-p1", lambda: euclidean_metric(2)),
@@ -79,20 +74,12 @@ def commutator_closure_residual(gens):
     return worst
 
 
+USER_EXPR = {"expr": "A0^2/2 + s*A1 + exp(-A1^2)", "d": 2, "p": 1}
+
 # one broken state each, defects measured once and frozen
 GAS_WITNESS_A = momentum_to_coeffs(np.array([1.0, 1.0]))[None, :]
 ANIS_WITNESS_A = em_to_coeffs(np.array([1.0, 0.0, 0.0]),
                               np.array([0.0, 1.0, 0.0]))[None, :]
-
-
-def test_skew_basis_spans_the_antisymmetric_matrices():
-    for d in (2, 3, 4):
-        basis = skew_basis(d)
-        assert len(basis) == d * (d - 1) // 2
-        flat = np.stack([N.ravel() for N in basis])
-        assert np.linalg.matrix_rank(flat) == len(basis)
-        for N in basis:
-            assert np.abs(N + N.T).max() == 0.0
 
 
 @pytest.mark.parametrize("S", (euclidean_metric(2), euclidean_metric(3),
@@ -100,16 +87,16 @@ def test_skew_basis_spans_the_antisymmetric_matrices():
 def test_lie_basis_solves_the_metric_equation(S):
     basis = lie_basis(S)
     d = S.shape[0]
-    assert len(basis) == d * (d - 1) // 2
-    for N in basis:
+    assert list(basis) == [f"{a}{b}" for a in range(d) for b in range(a + 1, d)]
+    for N in basis.values():
         assert np.abs(N.T @ S + S @ N).max() < 1e-12
-    assert commutator_closure_residual(basis) < 1e-12
+    assert commutator_closure_residual(list(basis.values())) < 1e-12
 
 
 def test_minkowski_basis_contains_boosts():
     gens = lie_basis(minkowski_metric())
     # at least one generator is not antisymmetric as a plain matrix
-    assert max(np.abs(N + N.T).max() for N in gens) > 0.5
+    assert max(np.abs(N + N.T).max() for N in gens.values()) > 0.5
 
 
 @pytest.mark.parametrize("name,metric", INVARIANT)
@@ -118,6 +105,7 @@ def test_invariant_models_pass_both_directions(name, metric):
     assert report["invariance_defect"] <= 1e-10
     assert report["symmetry_defect"] <= 1e-10
     assert report["trace_identity_residual"] <= 1e-10
+    assert report["invariant_generators"] == list(lie_basis(metric()))
     assert report["verdict"] == "invariant-symmetric"
     assert report["agreement"]
 
@@ -125,9 +113,7 @@ def test_invariant_models_pass_both_directions(name, metric):
 def test_gas_breaks_both_directions_at_the_witness():
     gas = build_model("gas")
     S = euclidean_metric(2)
-    states = (GAS_WITNESS_A, np.zeros(1))
-    inv = invariance_defect(gas, S, states=states)
-    sym = symmetry_defect_max(gas, S, states=states)
+    inv, sym, _ = pass_maxima(gas, S, (GAS_WITNESS_A, np.zeros(1)))
     assert abs(inv - 0.6933752452815363) < 1e-12
     assert sym == 2.5
     report = invariance_symmetry_check(gas, S, n_states=64, seed=0)
@@ -140,9 +126,7 @@ def test_gas_breaks_both_directions_at_the_witness():
 def test_anisotropic_breaks_both_directions_at_the_witness():
     anis = build_model("maxwell-anisotropic")
     S = minkowski_metric()
-    states = (ANIS_WITNESS_A, np.zeros(1))
-    inv = invariance_defect(anis, S, states=states)
-    sym = symmetry_defect_max(anis, S, states=states)
+    inv, sym, _ = pass_maxima(anis, S, (ANIS_WITNESS_A, np.zeros(1)))
     assert abs(inv - 0.5) < 1e-12
     assert sym == 2.0
     report = invariance_symmetry_check(anis, S, n_states=64, seed=0)
@@ -152,11 +136,43 @@ def test_anisotropic_breaks_both_directions_at_the_witness():
 
 def test_trace_identity_separates_the_families():
     gas = build_model("gas")
-    assert trace_identity_residual(gas, euclidean_metric(2),
-                                   gas.sample_states(np.random.default_rng(0), 64)) > 1e-2
+    assert pass_maxima(gas, euclidean_metric(2), sampled_states(gas, 64, 0))[2] > 1e-2
     anis = build_model("maxwell-anisotropic")
-    assert trace_identity_residual(anis, minkowski_metric(),
-                                   anis.sample_states(np.random.default_rng(0), 64)) > 1e-2
+    assert pass_maxima(anis, minkowski_metric(), sampled_states(anis, 64, 0))[2] > 1e-2
+
+
+def _identity_cases():
+    models = [(e["name"], e["name"], USER_EXPR if e["name"] == "user-expr" else None)
+              for e in list_models()] + [("relativistic-c2", "relativistic", {"c": 2.0})]
+    for label, name, params in models:
+        d = build_model(name, params).d
+        yield pytest.param(name, params, euclidean_metric(d), id=f"{label}-euclidean")
+        if d == 4:
+            for c in (1, 2):
+                yield pytest.param(name, params, minkowski_metric(float(c)),
+                                   id=f"{label}-minkowski{c}")
+
+
+@pytest.mark.parametrize("name,params,S", _identity_cases())
+def test_pairing_equals_the_trace_per_generator(name, params, S):
+    # G . (N . A) = Tr(N (L I - T^T)) holds state by state for every
+    # generator, invariant or not
+    model = build_model(name, params)
+    assert trace_identity_gap(model, S, sampled_states(model, 64, seed=0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,params,metric", (
+    ("maxwell-anisotropic", None, lambda: minkowski_metric(1.0)),
+    ("relativistic", {"c": 2.0}, lambda: minkowski_metric(1.0)),
+    ("gas-polytropic", None, lambda: euclidean_metric(4)),
+))
+def test_rotations_keep_the_density_invariant_where_boosts_break_it(name, params, metric):
+    report = invariance_symmetry_check(build_model(name, params), metric(),
+                                       n_states=64, seed=0)
+    defects = report["generator_defects"]
+    assert report["invariant_generators"] == ["12", "13", "23"]
+    assert max(defects[n] for n in ("12", "13", "23")) < 1e-15
+    assert min(defects[n] for n in ("01", "02", "03")) > 0.3
 
 
 @pytest.mark.parametrize("name,metric", INVARIANT)
@@ -165,7 +181,7 @@ def test_finite_group_elements_preserve_the_density(name, metric):
     model = build_model(name)
     S = metric()
     A, s = model.sample_states(np.random.default_rng(21), 8)
-    for N in lie_basis(S):
+    for N in lie_basis(S).values():
         for t in (0.3, -0.7):
             R = scipy.linalg.expm(t * N)
             assert np.abs(R.T @ S @ R - S).max() < 1e-10
