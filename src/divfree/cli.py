@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands wrap library calls one-to-one and print a single report.
+Subcommands wrap library calls one-to-one and print a single report, which
+names its subcommand under "command".
 Reports are JSON by default with sorted keys and floats rendered through
 %.17g, so identical invocations produce byte-identical output.
 
@@ -139,7 +140,7 @@ def _metric_for(args, d):
         return euclidean_metric(d)
     if d != 4:
         raise ValueError("the minkowski metric applies to dimension 4")
-    return minkowski_metric(c=args.c, d=4)
+    return minkowski_metric(c=args.c)
 
 
 def _is_numeric(value):
@@ -204,7 +205,6 @@ def cmd_tensor(args):
     model = build_model(args.model, parse_params(args.params))
     state = _parse_state(model, args.state)
     report = {
-        "command": "tensor",
         "model": model.name,
         "d": model.d,
         "p": model.p,
@@ -227,7 +227,6 @@ def cmd_invariance(args):
     report = invariance_symmetry_check(model, S, n_states=args.n_states, seed=args.seed,
                             tol_invariant=args.tol_invariant,
                             tol_broken=args.tol_broken)
-    report["command"] = "invariance"
     return report, not report["agreement"]
 
 
@@ -245,7 +244,7 @@ def _expectation_failed(case_report, min_order, orders=None):
 def cmd_verify(args):
     if args.manufactured:
         if args.manufactured == "list":
-            return {"command": "verify", "cases": list_cases()}, False
+            return {"cases": list_cases()}, False
         if args.refine:
             if args.levels < 2:
                 raise ValueError(f"--levels must be at least 2, not {args.levels}")
@@ -256,7 +255,6 @@ def cmd_verify(args):
         else:
             report = run_case(args.manufactured, args.n)
             failed = _expectation_failed(report, args.min_order)
-        report["command"] = "verify"
         return report, failed
     if args.field:
         path = Path(args.field)
@@ -267,7 +265,7 @@ def cmd_verify(args):
                                  (args.spacing,) * args.d)
         else:
             grid = load_grid(path)
-        report = {"command": "verify", "field": str(path),
+        report = {"field": str(path),
                   "d": grid.d, "p": grid.p, "dims": list(grid.dims),
                   "nonfinite_cells": grid.nonfinite_cells(),
                   "closedness_residual": closedness_residual(grid)}
@@ -291,8 +289,7 @@ def cmd_variation(args):
     if args.levels < 2:
         raise ValueError(f"--levels must be at least 2, not {args.levels}")
     report = variation_study(args.d, args.p, seed=args.seed, levels=args.levels,
-                             n0=args.n, eps0=args.eps, substeps=args.substeps)
-    report["command"] = "variation"
+                             n0=args.n, eps0=args.eps)
     report["min_order"] = args.min_order
     failed = (not report["orders"]) or min(report["orders"]) < args.min_order
     return report, failed
@@ -305,7 +302,6 @@ def cmd_jump(args):
         report = lightlike_normal_search(model, m_left,
                                          rho_jump_min=args.rho_jump_min,
                                          coarse=args.coarse)
-        report["command"] = "jump"
         report["model"] = model.name
         report["m_left"] = np.asarray(m_left, dtype=float)
         # a NaN residual fails: it is not <= any tolerance
@@ -316,13 +312,12 @@ def cmd_jump(args):
     right = _parse_state(model, args.right)
     nu = _parse_numbers("--normal", args.normal)
     report = rankine_hugoniot(model, left, right, nu)
-    report["command"] = "jump"
     report["model"] = model.name
     return report, not float(np.max(report["row_residuals"])) <= args.tol
 
 
 def cmd_models(args):
-    return {"command": "models", "models": list_models(),
+    return {"models": list_models(),
             "cases": list_cases()}, False
 
 
@@ -394,7 +389,6 @@ def _build_parser():
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("-n", "--n", type=int, default=8)
     p.add_argument("--eps", type=float, default=0.02)
-    p.add_argument("--substeps", type=int, default=8)
     p.add_argument("--min-order", type=float, default=1.9)
     p.set_defaults(handler=cmd_variation, need_model=False)
 
@@ -432,6 +426,7 @@ def main(argv=None):
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    report["command"] = args.command
     _emit(args, report)
     return 2 if failed else 0
 

@@ -46,7 +46,7 @@ Pullback direction.  Coefficients transform by B_J = sum_I A_I minor(M, I, J),
 giving (M1 @ M2)^* = M2^* o M1^*; the infinitesimal action is its exact
 t-derivative along expm(t N) (for p = 1 this is B = N^T A).
 
-Metrics.  euclidean(d) = identity; minkowski(c, d) = diag(-c^2, 1, ..., 1).
+Metrics.  euclidean(d) = identity; minkowski(c) = diag(-c^2, 1, 1, 1).
 """
 from __future__ import annotations
 
@@ -61,21 +61,22 @@ def euclidean_metric(d):
     return np.eye(d)
 
 
-def minkowski_metric(c=1.0, d=4):
-    S = np.eye(d)
+def minkowski_metric(c=1.0):
+    S = np.eye(4)
     S[0, 0] = -c * c
     return S
 
 
-def _omit(i, d):
-    return tuple(k for k in range(d) if k != i)
+def _slots_first(A):
+    # np.moveaxis(A, -1, 0) without its per-call overhead
+    return A.transpose(-1, *range(A.ndim - 1))
 
 
 @lru_cache(maxsize=None)
 def momentum_slots(d):
     """Storage slot of the tuple omitting axis i, for i = 0..d-1."""
     basis = form_basis(d, d - 1)
-    return tuple(basis.index[_omit(i, d)] for i in range(d))
+    return tuple(basis.index[tuple(k for k in range(d) if k != i)] for i in range(d))
 
 
 def momentum_to_coeffs(m):
@@ -92,21 +93,21 @@ def momentum_to_coeffs(m):
     return out
 
 
-def coeffs_to_momentum(A):
-    A = np.asarray(A, dtype=float)
-    d = A.shape[-1]
-    out = np.zeros_like(A)
-    for i, slot in enumerate(momentum_slots(d)):
-        out[..., i] = (-1) ** i * A[..., slot]
-    return out
-
-
 def momentum_components(coeffs, d):
     """Momentum components from a coefficient sequence, on any arithmetic
-    payload (floats, arrays, duals); the array pair above is the fast path."""
+    payload (floats, arrays, duals); the one reader of the identification."""
     slots = momentum_slots(d)
     return [coeffs[slots[i]] if i % 2 == 0 else -coeffs[slots[i]]
             for i in range(d)]
+
+
+def coeffs_to_momentum(A):
+    A = np.asarray(A, dtype=float)
+    out = np.empty_like(A)
+    # column by column: np.stack would double the cost on a few states
+    for i, m_i in enumerate(momentum_components(_slots_first(A), A.shape[-1])):
+        out[..., i] = m_i
+    return out
 
 
 # 2-form slot order for d = 4: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3)
@@ -125,19 +126,19 @@ def em_to_coeffs(E, B):
     return out
 
 
-def coeffs_to_em(A):
-    A = np.asarray(A, dtype=float)
-    E = np.stack([-A[..., _EM_E_SLOTS[j]] for j in range(3)], axis=-1)
-    B = np.stack([_EM_B_SIGNS[j] * A[..., _EM_B_SLOTS[j]] for j in range(3)], axis=-1)
-    return E, B
-
-
 def em_components(coeffs):
     """E and B as component lists from a length-6 coefficient sequence.
 
     Works on any arithmetic payload (floats, arrays, duals), so analytic
-    model evaluation and forward-mode differentiation share one code path.
+    model evaluation, forward-mode differentiation and ``coeffs_to_em``
+    share one reader of the identification.
     """
-    E = [-coeffs[0], -coeffs[1], -coeffs[2]]
-    B = [coeffs[5], -coeffs[4], coeffs[3]]
+    E = [-coeffs[k] for k in _EM_E_SLOTS]
+    B = [coeffs[k] if sign > 0 else -coeffs[k]
+         for k, sign in zip(_EM_B_SLOTS, _EM_B_SIGNS)]
     return E, B
+
+
+def coeffs_to_em(A):
+    E, B = em_components(_slots_first(np.asarray(A, dtype=float)))
+    return np.stack(E, axis=-1), np.stack(B, axis=-1)

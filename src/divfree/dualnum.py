@@ -90,68 +90,27 @@ def derivative(x, like):
     return np.broadcast_to(np.asarray(eps, dtype=float), np.shape(like)).copy()
 
 
-def sqrt(x):
-    if isinstance(x, Dual):
-        r = np.sqrt(x.val)
-        return Dual(r, 0.5 * x.eps / r)
-    return np.sqrt(x)
+def _lift(f, chain):
+    """The elementwise function f on plain payloads and on duals: at a Dual
+    with value v and channel e the derivative channel is chain(v, f(v), e)."""
+    def lifted(x):
+        if not isinstance(x, Dual):
+            return f(x)
+        y = f(x.val)
+        return Dual(y, chain(x.val, y, x.eps))
+    return lifted
 
 
-def exp(x):
-    if isinstance(x, Dual):
-        e = np.exp(x.val)
-        return Dual(e, e * x.eps)
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(np.log(x.val), x.eps / x.val)
-    return np.log(x)
-
-
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(np.sin(x.val), np.cos(x.val) * x.eps)
-    return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(np.cos(x.val), -np.sin(x.val) * x.eps)
-    return np.cos(x)
-
-
-def tan(x):
-    if isinstance(x, Dual):
-        c = np.cos(x.val)
-        return Dual(np.tan(x.val), x.eps / (c * c))
-    return np.tan(x)
-
-
-def sinh(x):
-    if isinstance(x, Dual):
-        return Dual(np.sinh(x.val), np.cosh(x.val) * x.eps)
-    return np.sinh(x)
-
-
-def cosh(x):
-    if isinstance(x, Dual):
-        return Dual(np.cosh(x.val), np.sinh(x.val) * x.eps)
-    return np.cosh(x)
-
-
-def tanh(x):
-    if isinstance(x, Dual):
-        t = np.tanh(x.val)
-        return Dual(t, (1.0 - t * t) * x.eps)
-    return np.tanh(x)
-
-
-def arctan(x):
-    if isinstance(x, Dual):
-        return Dual(np.arctan(x.val), x.eps / (1.0 + x.val * x.val))
-    return np.arctan(x)
+sqrt = _lift(np.sqrt, lambda v, r, e: 0.5 * e / r)
+exp = _lift(np.exp, lambda v, y, e: y * e)
+log = _lift(np.log, lambda v, y, e: e / v)
+sin = _lift(np.sin, lambda v, y, e: np.cos(v) * e)
+cos = _lift(np.cos, lambda v, y, e: -np.sin(v) * e)
+tan = _lift(np.tan, lambda v, y, e: e / np.square(np.cos(v)))
+sinh = _lift(np.sinh, lambda v, y, e: np.cosh(v) * e)
+cosh = _lift(np.cosh, lambda v, y, e: np.sinh(v) * e)
+tanh = _lift(np.tanh, lambda v, t, e: (1.0 - t * t) * e)
+arctan = _lift(np.arctan, lambda v, y, e: e / (1.0 + v * v))
 
 
 FUNCTIONS = {

@@ -51,9 +51,10 @@ def canonicalize(raw, d=None):
 class FormBasis:
     """Canonical storage layout for degree-p coefficients in dimension d.
 
-    ``tuples`` is the lexicographic list of increasing p-tuples; ``index``
-    maps each tuple to its storage slot; ``slot`` extends the lookup to
-    arbitrarily ordered tuples by folding in the permutation sign.
+    ``tuples`` is the lexicographic list of increasing p-tuples and
+    ``names`` their digit strings ("012" for (0, 1, 2)); ``index`` maps each
+    tuple to its storage slot; ``slot`` extends the lookup to arbitrarily
+    ordered tuples by folding in the permutation sign.
     """
 
     def __init__(self, d, p):
@@ -62,6 +63,7 @@ class FormBasis:
         self.d = d
         self.p = p
         self.tuples = tuple(itertools.combinations(range(d), p))
+        self.names = tuple("".join(str(i) for i in J) for J in self.tuples)
         self.index = {J: k for k, J in enumerate(self.tuples)}
         self.size = len(self.tuples)
 

@@ -114,11 +114,6 @@ class GridField:
         return cls(d, p, tuple(dims), spacing, origin, values, entropy)
 
 
-def _component_names(d, p):
-    """Digit strings of the canonical index tuples, in storage order."""
-    return ["".join(str(i) for i in J) for J in form_basis(d, p).tuples]
-
-
 def save_grid(grid, path):
     """Write manifest JSON plus a flat little-endian float64 companion file.
 
@@ -137,7 +132,7 @@ def save_grid(grid, path):
         "dims": list(grid.dims),
         "spacing": list(grid.spacing),
         "origin": list(grid.origin),
-        "component_order": _component_names(grid.d, grid.p),
+        "component_order": list(form_basis(grid.d, grid.p).names),
         "has_entropy": grid.entropy is not None,
         "data": data_name,
     }
@@ -151,7 +146,7 @@ def load_grid(path):
     manifest = json.loads(path.read_text())
     d, p = manifest["d"], manifest["p"]
     dims = tuple(manifest["dims"])
-    order, given = _component_names(d, p), manifest.get("component_order")
+    order, given = list(form_basis(d, p).names), manifest.get("component_order")
     if given != order:
         raise ValueError(f"component_order {given} is not the canonical order "
                          f"{order} for (d={d}, p={p})")
@@ -172,13 +167,14 @@ def load_grid(path):
                      tuple(manifest["origin"]), values, entropy)
 
 
-def load_grid_csv(path, d, p, spacing, origin=None):
-    """Small-field CSV import: columns i0..i{d-1}, A_<tuple digits>..., s."""
+def load_grid_csv(path, d, p, spacing):
+    """Small-field CSV import: columns i0..i{d-1}, A_<tuple digits>..., s;
+    the grid's origin is 0."""
     path = Path(path)
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     header = [h.strip() for h in lines[0].split(",")]
     coord_cols = [header.index(f"i{a}") for a in range(d)]
-    comp_cols = [header.index("A_" + name) for name in _component_names(d, p)]
+    comp_cols = [header.index("A_" + name) for name in form_basis(d, p).names]
     s_col = header.index("s") if "s" in header else None
     rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
     idx = np.array([[int(r[c]) for c in coord_cols] for r in rows])
@@ -194,8 +190,7 @@ def load_grid_csv(path, d, p, spacing, origin=None):
         values[tuple(ij)] = [r[c] for c in comp_cols]
         if s_col is not None:
             entropy[tuple(ij)] = r[s_col]
-    origin = tuple(origin) if origin is not None else (0.0,) * d
-    return GridField(d, p, dims, tuple(spacing), origin, values, entropy)
+    return GridField(d, p, dims, tuple(spacing), (0.0,) * d, values, entropy)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +331,14 @@ class VariationField:
                    np.asarray(func(Y), dtype=float), func_jac)
 
 
-def _flow_with_jacobian(var, Y, tau, substeps):
+_FLOW_SUBSTEPS = 8
+
+
+def _flow_with_jacobian(var, Y, tau):
     """Backward flow w' = -xi(w) over time tau with the Jacobian of the map,
-    classical RK4 on the augmented system.  The stages hold (xi, J G), the
-    right-hand side without its sign, and the step -tau / substeps carries
-    the sign instead.
+    classical RK4 in _FLOW_SUBSTEPS steps on the augmented system.  The
+    stages hold (xi, J G), the right-hand side without its sign, and the
+    step -tau / _FLOW_SUBSTEPS carries the sign instead.
 
     G and its stages are component-major, (d, d, N), so J @ G is d^3
     multiply-adds on contiguous rows; G returns as an (N, d, d) view.
@@ -349,7 +347,7 @@ def _flow_with_jacobian(var, Y, tau, substeps):
     w = np.array(Y, dtype=float)
     G = np.zeros((d, d) + Y.shape[:-1])
     G[range(d), range(d)] = 1.0
-    h = -tau / substeps
+    h = -tau / _FLOW_SUBSTEPS
     scratch = np.empty(Y.shape[:-1])
 
     def rhs(wc, Gc):
@@ -365,7 +363,7 @@ def _flow_with_jacobian(var, Y, tau, substeps):
                     np.add(acc, scratch, out=acc)
         return v, JG
 
-    for _ in range(substeps):
+    for _ in range(_FLOW_SUBSTEPS):
         k1 = rhs(w, G)
         k2 = rhs(w + 0.5 * h * k1[0], G + 0.5 * h * k1[1])
         k3 = rhs(w + 0.5 * h * k2[0], G + 0.5 * h * k2[1])
@@ -375,7 +373,7 @@ def _flow_with_jacobian(var, Y, tau, substeps):
     return w, np.moveaxis(G, (0, 1), (-2, -1))
 
 
-def first_variation(model, grid, var, eps, substeps=8):
+def first_variation(model, grid, var, eps):
     """Numeric flow derivative of the discretized functional next to the
     tensor pairing it should equal.
 
@@ -393,8 +391,6 @@ def first_variation(model, grid, var, eps, substeps=8):
     the flow fixes it with G = I and it adds the same L(A) vol to both
     signs of eps, which cancels in the centred difference.
     """
-    if substeps < 8:
-        raise ValueError("use at least 8 flow substeps")
     if (var.dims, var.spacing, var.origin) != (grid.dims, grid.spacing, grid.origin):
         raise ValueError("the variation must be sampled on the field's grid: "
                          "equal dims, spacing and origin")
@@ -412,7 +408,7 @@ def first_variation(model, grid, var, eps, substeps=8):
     hi = lo + np.asarray(grid.spacing) * (np.asarray(grid.dims) - 1)
 
     def functional(tau):
-        w, G = _flow_with_jacobian(var, Y, tau, substeps)
+        w, G = _flow_with_jacobian(var, Y, tau)
         if np.any(w < lo - 1e-9) or np.any(w > hi + 1e-9):
             raise FlowLeftGridError("variation flow left the sampled domain")
         M = np.linalg.inv(G)
@@ -570,11 +566,10 @@ def _family_residual(model, nu, m_left, rho_jump_min):
     single = nu.ndim == 1
     nu = _unit_rows(np.atleast_2d(nu))
     K, d = nu.shape
-    Lam_inv = np.linalg.inv(model.Lam)
     # per normal: Lam^{-1} nu, then a Euclidean-orthogonal basis of the
     # plane nu . w = 0
     dirs = np.empty((K, d, d))
-    dirs[:, 0] = np.matmul(Lam_inv, nu[:, :, None])[..., 0]
+    dirs[:, 0] = np.matmul(model.Lam_inv, nu[:, :, None])[..., 0]
     dirs[:, 1:] = np.linalg.svd(nu[:, None, :])[2][:, 1:]
     dirs = _unit_rows(dirs)
     # every candidate, normal-major: (K, d directions, steps) flattened
@@ -654,10 +649,9 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
         theta = x1 if f1 <= f2 else x2
         residual = min(f1, f2)
     nu = nu_of(theta)
-    Lam_inv = np.linalg.inv(model.Lam)
     return {
         "theta": float(theta),
         "nu": nu,
         "residual": float(residual),
-        "metric_quadratic": float(nu @ Lam_inv @ nu),
+        "metric_quadratic": float(nu @ model.Lam_inv @ nu),
     }

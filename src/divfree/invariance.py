@@ -30,7 +30,7 @@ def check_metric(S):
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("metric must be a square matrix")
-    if not np.allclose(S, S.T, atol=1e-13 * (1.0 + np.abs(S).max())):
+    if not np.allclose(S, S.T, atol=1e-13 * (1.0 + np.abs(S).max(initial=0.0))):
         raise ValueError("metric must be symmetric")
     if abs(np.linalg.det(S)) < 1e-12:
         raise ValueError("metric must be nondegenerate")
@@ -43,10 +43,12 @@ def lie_basis(S):
 
     Postconditions checked on construction: each generator satisfies
     N^T S + S N = 0 to near roundoff and the set is linearly independent
-    (d(d-1)/2 members).
+    (d(d-1)/2 members).  Below dimension 2 there are none: a ValueError.
     """
     S = check_metric(S)
     d = S.shape[0]
+    if d < 2:
+        raise ValueError(f"a metric of dimension {d} has no generators; need 2 or more")
     S_inv = np.linalg.inv(S)
     gens = {}
     for a in range(d):

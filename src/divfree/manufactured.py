@@ -185,10 +185,7 @@ def run_case(name, n):
         report["residual"] = float(closedness_residual(built))
     elif case.kind == "entropy":
         model, grid = built
-        r = entropy_transport_residual(model, grid)
-        report["residual"] = r["residual"]
-        report["factor_min"] = r["factor_min"]
-        report["factor_max"] = r["factor_max"]
+        report.update(entropy_transport_residual(model, grid))
     elif case.kind == "bernoulli":
         model, psi, rho, spacing = built
         r = bernoulli_check(model, psi, rho, spacing)
@@ -366,7 +363,7 @@ def study_model(d, p, seed):
     return LagrangianModel(f"study-d{d}p{p}", d, p, fn, grad_fn=grad_fn)
 
 
-def variation_study(d, p, seed=0, levels=3, n0=8, eps0=0.01, substeps=8):
+def variation_study(d, p, seed=0, levels=3, n0=8, eps0=0.01):
     """Joint (h, eps) -> (h/2, eps/2) refinement of the discrete first
     variation against the tensor pairing; the gap should shrink at order 2.
 
@@ -397,7 +394,7 @@ def variation_study(d, p, seed=0, levels=3, n0=8, eps0=0.01, substeps=8):
             field_fn, d, p, dims, spacing,
             entropy_fn=lambda Y: np.sin(2 * math.pi * Y[..., 0]) * 0.5)
         var = bump_variation(d, dims, spacing, seed + 202, support=support)
-        numeric, pairing = first_variation(model, grid, var, eps, substeps)
+        numeric, pairing = first_variation(model, grid, var, eps)
         rows.append({"n": n, "eps": eps, "numeric": numeric,
                      "pairing": pairing, "error": abs(numeric - pairing)})
     errors = [r["error"] for r in rows]

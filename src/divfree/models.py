@@ -122,13 +122,13 @@ def ad_gradient(model):
     return grad
 
 
-def finite_difference_gradient(model, A, s=0.0, scale=1e-6):
+def finite_difference_gradient(model, A, s=0.0):
     """Second-order central differences with per-coefficient step
-    h_k = scale * (1 + |A_k|); a cross-check, not a primary path."""
+    h_k = 1e-6 (1 + |A_k|); a cross-check, not a primary path."""
     A = model._coerce(A)
     out = np.zeros_like(A)
     for k in range(model.n_coeffs):
-        h = scale * (1.0 + np.abs(A[..., k]))
+        h = 1e-6 * (1.0 + np.abs(A[..., k]))
         up = A.copy()
         up[..., k] += h
         dn = A.copy()
@@ -267,6 +267,11 @@ def polytropic_energy(gamma=2.0, mu=0.0):
     return g
 
 
+def _rho_derivative(f, rho, s):
+    """d f(rho, s) / d rho by one dual pass, shaped like rho."""
+    return derivative(f(Dual(np.asarray(rho, dtype=float) + 0.0, 1.0), s), like=rho)
+
+
 def _require_positive_density(rho):
     # NaN passes: it is not <= 0, and it stays visible in the residuals
     if np.any(np.asarray(rho) <= 0.0):
@@ -300,8 +305,7 @@ class GasModel(LagrangianModel):
         return momentum_to_coeffs(self.m_gradient(coeffs_to_momentum(A), s))
 
     def g_rho(self, rho, s):
-        r = self.internal_energy(Dual(np.asarray(rho, dtype=float) + 0.0, 1.0), s)
-        return derivative(r, like=rho)
+        return _rho_derivative(self.internal_energy, rho, s)
 
     def m_gradient(self, m, s):
         m = np.asarray(m, dtype=float)
@@ -338,7 +342,8 @@ class RelativisticModel(LagrangianModel):
     """L = profile(rho, s) with rho = sqrt(-m^T Lam m), Lam = diag(-c^2, 1, 1, 1).
 
     States must be strictly inside the light cone; the 4-velocity u = m / rho
-    satisfies u^T Lam u = -1 (at rest u_0 = 1/c).  A power-law exponent
+    satisfies u^T Lam u = -1 (at rest u_0 = 1/c).  ``Lam_inv`` is Lam^{-1},
+    inverted once per model.  A power-law exponent
     ``kappa``, when the profile has one, is recorded in ``params``.
     """
 
@@ -347,7 +352,8 @@ class RelativisticModel(LagrangianModel):
     def __init__(self, profile, c=1.0, name="relativistic", params=None):
         self.profile = profile
         self.c = c
-        self.Lam = minkowski_metric(c, 4)
+        self.Lam = minkowski_metric(c)
+        self.Lam_inv = np.linalg.inv(self.Lam)
         super().__init__(name, 4, 3, self._density, grad_fn=self._coeff_gradient,
                          metric_hint=self.Lam, params=dict(params or {}, c=c))
 
@@ -382,8 +388,7 @@ class RelativisticModel(LagrangianModel):
         return np.sqrt(r2)
 
     def profile_rho(self, rho, s):
-        r = self.profile(Dual(np.asarray(rho, dtype=float) + 0.0, 1.0), s)
-        return derivative(r, like=rho)
+        return _rho_derivative(self.profile, rho, s)
 
     def m_gradient(self, m, s):
         m = np.asarray(m, dtype=float)
@@ -444,7 +449,7 @@ class MaxwellModel(LagrangianModel):
         self.material = material
         super().__init__(name, 4, 2, lambda comps, s: lag_eb(*em_components(comps), s),
                          grad_fn=self._material_gradient,
-                         metric_hint=minkowski_metric(1.0, 4), params=dict(params or {}))
+                         metric_hint=minkowski_metric(1.0), params=dict(params or {}))
 
     def _material_gradient(self, A, s):
         E, B = coeffs_to_em(A)
@@ -466,33 +471,30 @@ class MaxwellModel(LagrangianModel):
         return em_to_coeffs(E, B), 0.3 * rng.standard_normal(n)
 
 
-def model_maxwell_linear():
-    """Vacuum density L = (|E|^2 - |B|^2) / 2, so D = E and H = B."""
-    def lag(E, B, s):
-        acc = 0.0
-        for e in E:
-            acc = acc + e * e
-        for b in B:
-            acc = acc - b * b
-        return 0.5 * acc
-
-    def material(E, B, s):
-        return E, B
-
-    return MaxwellModel(lag, material=material, name="maxwell-linear")
-
-
-def _em_invariants(E, B):
+def _em_x(E, B):
+    """The invariant X = (|E|^2 - |B|^2) / 2 of component lists."""
     X = 0.0
     for e in E:
         X = X + e * e
     for b in B:
         X = X - b * b
-    X = 0.5 * X
+    return 0.5 * X
+
+
+def model_maxwell_linear():
+    """Vacuum density L = X = (|E|^2 - |B|^2) / 2, so D = E and H = B."""
+    def material(E, B, s):
+        return E, B
+
+    return MaxwellModel(lambda E, B, s: _em_x(E, B), material=material,
+                        name="maxwell-linear")
+
+
+def _em_invariants(E, B):
     Y = 0.0
     for e, b in zip(E, B):
         Y = Y + e * b
-    return X, Y
+    return _em_x(E, B), Y
 
 
 def model_maxwell_lorentz():
@@ -548,11 +550,6 @@ _BINOPS = {
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-def coefficient_names(d, p):
-    """Variable names for the canonical slots: digits of the tuple after A."""
-    return ["A" + "".join(str(i) for i in J) for J in form_basis(d, p).tuples]
-
-
 def _compile_expression(expr, names):
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
@@ -601,7 +598,7 @@ def _compile_expression(expr, names):
 def model_from_expression(expr, d, p):
     """Density from an expression string over the canonical coefficient names
     (A0, A01, ...) and s; operators + - * / ^ and whitelisted functions."""
-    names = coefficient_names(d, p)
+    names = ["A" + name for name in form_basis(d, p).names]
     compiled = _compile_expression(expr, set(names) | {"s"})
 
     def fn(comps, s):

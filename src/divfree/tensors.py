@@ -166,13 +166,12 @@ def assemble_relativistic(model, state):
     """
     _require_family(model, state, RelativisticModel)
     m, s = state.m, state.s
-    Lam = model.Lam
-    Lam_inv = np.linalg.inv(Lam)
+    Lam_inv = model.Lam_inv
     rho = float(model.rho_of(m))
     u = m / rho
     L = float(model.profile(rho, s))
     Lrho = float(model.profile_rho(rho, s))
-    T = -rho * Lrho * (Lam @ np.outer(u, u)) + (L - rho * Lrho) * np.eye(4)
+    T = -rho * Lrho * (model.Lam @ np.outer(u, u)) + (L - rho * Lrho) * np.eye(4)
     Tp_a = rho * Lrho * np.outer(u, u) + (rho * Lrho - L) * Lam_inv
     e = L / model.c ** 2
     p = rho * Lrho - L

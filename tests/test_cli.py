@@ -326,6 +326,13 @@ def test_bad_model_input_is_an_input_error(capsys, argv):
     assert_one_error_line(capsys, argv)
 
 
+@pytest.mark.parametrize("model, params", (("iso-p1", "d=1"),
+                                           ("user-expr", "expr=A0^2,d=1,p=1")))
+def test_invariance_in_one_dimension_is_an_input_error(capsys, model, params):
+    line = assert_one_error_line(capsys, ["invariance", "--model", model, "--params", params])
+    assert "dimension 1" in line
+
+
 @pytest.mark.parametrize("n_states", ("0", "-3"))
 def test_invariance_needs_a_state(capsys, n_states):
     assert main(["invariance", "--model", "gas", "--n-states", n_states]) == 1

@@ -408,9 +408,6 @@ def test_variation_study_rejects_vacuous_input(kwargs, name):
 def test_variation_validation():
     iso = build_model("iso-p1")
     g = _gas_momentum_grid(8)
-    var = bump_variation(2, (8, 8), (1.0 / 8, 1.0 / 8), seed=0)
-    with pytest.raises(ValueError):
-        first_variation(iso, g, var, eps=0.01, substeps=4)
     small = bump_variation(2, (6, 6), (1.0 / 6, 1.0 / 6), seed=0,
                            support=(0.34, 0.66))
     with pytest.raises(ValueError):

@@ -93,6 +93,16 @@ def test_lie_basis_solves_the_metric_equation(S):
     assert commutator_closure_residual(list(basis.values())) < 1e-12
 
 
+@pytest.mark.parametrize("d", (0, 1))
+def test_a_metric_below_dimension_two_is_rejected_by_name(d):
+    # O(S) of a 1x1 metric has no generators, so a defect could never show
+    with pytest.raises(ValueError, match=f"dimension {d} has no generators"):
+        lie_basis(np.eye(d))
+    if d == 1:
+        with pytest.raises(ValueError, match="dimension 1 has no generators"):
+            invariance_symmetry_check(build_model("iso-p1", {"d": 1}), euclidean_metric(1))
+
+
 def test_minkowski_basis_contains_boosts():
     gens = lie_basis(minkowski_metric())
     # at least one generator is not antisymmetric as a plain matrix

@@ -10,6 +10,7 @@ from divfree import (
     finite_difference_gradient,
     momentum_to_coeffs,
 )
+from divfree import dualnum
 from divfree.exterior import PFormValue
 from divfree.models import (
     EMState,
@@ -261,6 +262,34 @@ def test_expression_dual_numbers_match_differences(expr):
     dual = ad_gradient(model)(A, 0.0)
     fd = finite_difference_gradient(model, A, 0.0)
     assert np.abs(dual - fd).max() <= 1e-8
+
+
+# each lift's arithmetic written out: (value, derivative channel) at (v, e)
+DUAL_RULES = {
+    "sqrt": lambda v, e: (np.sqrt(v), 0.5 * e / np.sqrt(v)),
+    "exp": lambda v, e: (np.exp(v), np.exp(v) * e),
+    "log": lambda v, e: (np.log(v), e / v),
+    "sin": lambda v, e: (np.sin(v), np.cos(v) * e),
+    "cos": lambda v, e: (np.cos(v), -np.sin(v) * e),
+    "tan": lambda v, e: (np.tan(v), e / (np.cos(v) * np.cos(v))),
+    "sinh": lambda v, e: (np.sinh(v), np.cosh(v) * e),
+    "cosh": lambda v, e: (np.cosh(v), np.sinh(v) * e),
+    "tanh": lambda v, e: (np.tanh(v), (1.0 - np.tanh(v) * np.tanh(v)) * e),
+    "atan": lambda v, e: (np.arctan(v), e / (1.0 + v * v)),
+    "arctan": lambda v, e: (np.arctan(v), e / (1.0 + v * v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(dualnum.FUNCTIONS))
+def test_dual_lifts_keep_their_arithmetic_bitwise(name):
+    # the difference test above allows 1e-8; this pins every bit, on an
+    # array and on a Python float
+    rng = np.random.default_rng(4)
+    for v, e in ((rng.uniform(0.1, 1.4, 64), rng.standard_normal(64)), (0.7, -1.3)):
+        got = dualnum.FUNCTIONS[name](dualnum.Dual(v, e))
+        want = DUAL_RULES[name](v, e)
+        assert np.asarray(got.val).tobytes() == np.asarray(want[0]).tobytes()
+        assert np.asarray(got.eps).tobytes() == np.asarray(want[1]).tobytes()
 
 
 def test_expression_model_uses_entropy():
