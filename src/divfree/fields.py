@@ -201,14 +201,21 @@ def _interior(arr, ndim_grid):
     return arr[tuple(slice(1, -1) for _ in range(ndim_grid))]
 
 
-def _cd(arr, axis, h, ndim_grid):
-    """Central difference along one grid axis, restricted to the interior of
-    every grid axis so that all terms share a shape."""
+def _cd_neighbours(axis, ndim_grid):
+    """Indices of the upper and lower neighbours along one grid axis of every
+    interior node."""
     hi = [slice(1, -1)] * ndim_grid
     lo = [slice(1, -1)] * ndim_grid
     hi[axis] = slice(2, None)
     lo[axis] = slice(None, -2)
-    return (arr[tuple(hi)] - arr[tuple(lo)]) / (2.0 * h)
+    return tuple(hi), tuple(lo)
+
+
+def _cd(arr, axis, h, ndim_grid):
+    """Central difference along one grid axis, restricted to the interior of
+    every grid axis so that all terms share a shape."""
+    hi, lo = _cd_neighbours(axis, ndim_grid)
+    return (arr[hi] - arr[lo]) / (2.0 * h)
 
 
 def _require_interior(grid):
@@ -247,15 +254,25 @@ def tensor_grid(model, grid):
 
 
 def div_rows(T_field, spacing, d):
-    """Row-wise divergence sum_j d/dy_j T_ij on interior nodes."""
+    """Row-wise divergence sum_j d/dy_j T_ij on interior nodes, as a
+    (..., dim) view of a component-major (dim, ...) buffer.
+
+    Each row sums its central differences onto 0.0 in axis order, the
+    arithmetic of ``0.0 + _cd(..) + ..``, with every difference taken into
+    one scratch array.
+    """
     dim = T_field.shape[-1]
-    rows = []
-    for i in range(dim):
-        acc = 0.0
-        for j in range(d):
-            acc = acc + _cd(T_field[..., i, j], j, spacing[j], d)
-        rows.append(acc)
-    return np.stack(rows, axis=-1)
+    inner = tuple(max(n - 2, 0) for n in T_field.shape[:d])
+    out = np.zeros((dim,) + inner)
+    term = np.empty(inner)
+    for j in range(d):
+        hi, lo = _cd_neighbours(j, d)
+        for i in range(dim):
+            T_ij = T_field[..., i, j]
+            np.subtract(T_ij[hi], T_ij[lo], out=term)
+            np.divide(term, 2.0 * spacing[j], out=term)
+            np.add(out[i], term, out=out[i])
+    return np.moveaxis(out, 0, -1)
 
 
 def div_T_residual(model, grid):

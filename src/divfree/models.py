@@ -108,8 +108,12 @@ def _ad_gradient_core(fn, n_coeffs, A, s):
         r = fn(seeded, s)
         cols.append(derivative(r, like=value(r)))
     out = np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
-    if np.isnan(out).any() and np.isfinite(A).all():
-        raise EvaluationDomainError("gradient produced NaN from finite coefficients")
+    # a NaN gradient is a domain error only at a cell whose own coefficients
+    # and entropy are finite; a NaN input cell keeps its NaN gradient
+    nan = np.isnan(out).any(axis=-1)
+    if nan.any() and (nan & np.isfinite(A).all(axis=-1) & np.isfinite(s)).any():
+        raise EvaluationDomainError(
+            "gradient produced NaN from finite coefficients and entropy")
     return out
 
 

@@ -16,6 +16,7 @@ the suite meaningful.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,6 +68,12 @@ def _assembly_table(d, p):
     return table
 
 
+# nodes per assembly block, from a measured sweep (CHANGES.md): a block's
+# rows of A, G, L and T (a few MB) stay in cache between the ufunc passes;
+# 8192-16384 were fastest, 2048 and 131072 and one whole batch slower
+_BLOCK_NODES = 16384
+
+
 def general_tensor_array(model, A, s=0.0):
     """Batched tensor assembly; A has trailing axis C(d, p), result gains
     trailing axes (d, d).
@@ -76,25 +83,47 @@ def general_tensor_array(model, A, s=0.0):
     The buffer is new on every call and nothing else refers to it.  A
     caller that needs cell-major memory takes ``.copy(order="C")``; a plain
     ``.copy()`` keeps the layout.
+
+    The batch is assembled in blocks of ``_BLOCK_NODES`` nodes, each
+    evaluated and written in place into its slice of the buffer.  Every
+    model is elementwise over nodes and each entry keeps its arithmetic and
+    term order, so the result has bit for bit the bits of one whole-batch
+    pass, signs of zero included.
     """
     A = np.asarray(A, dtype=float)
-    L = np.asarray(model.evaluate(A, s), dtype=float)
-    G = model.gradient(A, s)
+    batch = A.shape[:-1]
     d = model.d
-    # component-major copies, as lists so that picking a row costs no
-    # numpy indexing; transpose is np.moveaxis without its per-call overhead
-    A = list(A.transpose(-1, *range(A.ndim - 1)).copy())
-    G = list(G.transpose(-1, *range(G.ndim - 1)).copy())
-    T = np.zeros((d, d) + L.shape)
-    scratch = np.empty(L.shape)
-    # each entry sums its terms onto 0.0 in table order, then takes the
-    # diagonal's L or 0.0 minus that sum: the cell-major loop's arithmetic
-    for (i, j), terms in _assembly_table(d, model.p).items():
-        acc = T[i, j, ...]
-        for slot_i, slot_j, sign in terms:
-            np.multiply(A[slot_i], G[slot_j], out=scratch)
-            (np.add if sign > 0 else np.subtract)(acc, scratch, out=acc)
-        np.subtract(L if i == j else 0.0, acc, out=acc)
+    T = np.zeros((d, d) + batch)
+    flat, blocks = T, [...]  # a single state is one block
+    if batch:
+        n = math.prod(batch)
+        A = A.reshape(n, A.shape[-1])
+        if np.ndim(s):  # a per-node s, flattened with A
+            s = np.asarray(s)
+            s = (s if s.shape == batch else np.broadcast_to(s, batch)).reshape(n)
+        flat = T.reshape(d, d, n)
+        # an empty batch still runs one (empty) block, so it is validated
+        blocks = [slice(a, a + _BLOCK_NODES) for a in range(0, max(n, 1), _BLOCK_NODES)]
+    table = _assembly_table(d, model.p).items()
+    for block in blocks:
+        A_b = A[block]
+        s_b = s[block] if np.ndim(s) else s
+        out = flat[:, :, block]
+        L = np.asarray(model.evaluate(A_b, s_b), dtype=float)
+        G = model.gradient(A_b, s_b)
+        # component-major copies, as lists so that picking a row costs no
+        # numpy indexing; transpose is np.moveaxis without its per-call overhead
+        A_b = list(A_b.transpose(-1, *range(A_b.ndim - 1)).copy())
+        G = list(G.transpose(-1, *range(G.ndim - 1)).copy())
+        scratch = np.empty(out.shape[2:])
+        # each entry sums its terms onto 0.0 in table order, then takes the
+        # diagonal's L or 0.0 minus that sum: the cell-major loop's arithmetic
+        for (i, j), terms in table:
+            acc = out[i, j, ...]
+            for slot_i, slot_j, sign in terms:
+                np.multiply(A_b[slot_i], G[slot_j], out=scratch)
+                (np.add if sign > 0 else np.subtract)(acc, scratch, out=acc)
+            np.subtract(L if i == j else 0.0, acc, out=acc)
     return T.transpose(tuple(range(2, T.ndim)) + (0, 1))
 
 

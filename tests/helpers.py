@@ -67,6 +67,12 @@ def family_residual_loop(model, nu, m_left, rho_jump_min):
     return best
 
 
+def same_bits(a, b):
+    """Equal shapes, values and signs of zero, with NaN where the other has NaN."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 def rel_gap(a, b):
     """Max entrywise difference over max(1, scale of the operands)."""
     a = np.asarray(a, dtype=float)

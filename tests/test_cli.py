@@ -158,6 +158,26 @@ def test_verify_field_with_a_nan_cell_fails(tmp_path, capsys):
     assert report["div_residual"] == "nan"
 
 
+def test_verify_field_with_a_nan_entropy_cell_fails(tmp_path, capsys):
+    # the dual-number gradient leaves the NaN at its own cell: a NaN residual
+    # and exit 2, not a domain error from the finite coefficients
+    from divfree import GridField, save_grid
+
+    g = GridField.from_function(
+        lambda Y: np.stack([np.sin(Y[..., 0]), np.cos(Y[..., 1])], axis=-1),
+        d=2, p=1, dims=(9, 9), spacing=(0.125, 0.125),
+        entropy_fn=lambda Y: 0.1 * Y[..., 0])
+    g.entropy[4, 4] = np.nan
+    path = save_grid(g, tmp_path / "nan_entropy.json")
+    code, out = run_cli(capsys, ["verify", "--field", str(path), "--model", "user-expr",
+                                 "--params", "expr=A0^2/2 + s*A1 + exp(-A1^2),d=2,p=1",
+                                 "--tol", "1e-10"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["nonfinite_cells"] == 1
+    assert report["div_rows"] == ["nan", "nan"]
+
+
 def test_jump_search_mode(capsys):
     code, out = run_cli(capsys, ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]"])
     assert code == 0

@@ -25,6 +25,7 @@ from divfree.fields import (
     bernoulli_check,
     closedness_residual,
     div_T_residual,
+    div_rows,
     divergence_pairing,
     first_variation,
     load_grid,
@@ -37,7 +38,7 @@ from divfree.fields import (
 from divfree.manufactured import CASES, bump_variation, closed_trig_form, run_case, study_model
 from divfree.models import GasState, RelativisticState
 
-from helpers import family_residual_loop, limit_jump_states
+from helpers import family_residual_loop, limit_jump_states, same_bits
 
 
 def _gas_momentum_grid(n):
@@ -226,6 +227,43 @@ def test_a_nan_cell_makes_the_residuals_nan():
     assert g.nonfinite_cells() == 2
     assert math.isnan(closedness_residual(g))
     assert np.isnan(div_T_residual(build_model("gas"), g)).all()
+
+
+def _div_rows_reference(T_field, spacing, d):
+    """The per-term div_rows: each central difference a new array, summed
+    onto 0.0 and stacked; kept to pin the in-place stencils bitwise."""
+    dim = T_field.shape[-1]
+    rows = []
+    for i in range(dim):
+        acc = 0.0
+        for j in range(d):
+            acc = acc + _cd(T_field[..., i, j], j, spacing[j], d)
+        rows.append(acc)
+    return np.stack(rows, axis=-1)
+
+
+@pytest.mark.parametrize("d, p, dims", ((2, 1, (9, 13)), (3, 2, (6, 7, 8)),
+                                        (4, 2, (4, 5, 6, 7))))
+def test_div_rows_are_the_per_term_sums_bit_for_bit(d, p, dims):
+    model = study_model(d, p, seed=0)
+    grid = GridField.from_function(closed_trig_form(d, p, seed=101), d, p, dims,
+                                   (0.125,) * d, entropy_fn=lambda Y: np.sin(Y[..., 0]))
+    spacing = (0.1, 0.2, 0.3, 0.4)[:d]
+    T = tensor_grid(model, grid)
+    # row 0 is +0.0 below index 3 of each axis and -0.0 from it on, so at
+    # node (2, .., 2) every difference is -0.0 - 0.0 and the row sums to +0.0
+    T[..., 0, :] = 0.0
+    for j in range(d):
+        T[(slice(None),) * j + (slice(3, None), Ellipsis, 0, j)] = -0.0
+    T[(1,) * d + (1, 1)] = np.nan
+    # the component-major view tensor_grid returns, and cell-major memory
+    for field in (T, np.ascontiguousarray(T)):
+        rows = div_rows(field, spacing, d)
+        assert same_bits(rows, _div_rows_reference(field, spacing, d))
+    assert rows[(1,) * d + (0,)] == 0.0 and not np.signbit(rows[(1,) * d + (0,)])
+    assert np.isnan(rows[..., 1]).any() and not np.isnan(rows[..., 0]).any()
+    grid.values[(1,) * d + (0,)] = np.nan
+    assert np.isnan(div_T_residual(model, grid)).all()
 
 
 def test_top_degree_forms_close_vacuously():

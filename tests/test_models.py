@@ -348,3 +348,24 @@ def test_nan_gradient_raises_domain_error():
     with np.errstate(invalid="ignore"):
         with pytest.raises(EvaluationDomainError):
             m.gradient(np.array([-1.0, 0.5]), 0.0)
+
+
+def test_a_nan_entropy_cell_keeps_its_nan_gradient():
+    # finite coefficients everywhere: only the cell whose s is NaN may carry NaN
+    m = model_from_expression("A0^2/2 + s*A1 + exp(-A1^2)", 2, 1)
+    A = np.random.default_rng(3).standard_normal((6, 2))
+    s = np.zeros(6)
+    s[2] = np.nan
+    G = m.gradient(A, s)
+    assert np.isnan(G[2, 1]) and G[2, 0] == A[2, 0]
+    assert np.isfinite(np.delete(G, 2, axis=0)).all()
+
+
+def test_a_nan_cell_does_not_hide_a_domain_error_elsewhere():
+    m = model_from_expression("sqrt(A0)", 2, 1)
+    A = np.array([[1.0, 0.5], [np.nan, 0.5], [-1.0, 0.5]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EvaluationDomainError):
+            m.gradient(A, 0.0)
+        G = m.gradient(A[:2], 0.0)  # the NaN cell alone is no domain error
+    assert np.isnan(G[1, 0]) and np.isfinite(G[0]).all()

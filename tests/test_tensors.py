@@ -14,6 +14,7 @@ from divfree import (
     minkowski_metric,
 )
 from divfree.conventions import coeffs_to_momentum, momentum_slots, momentum_to_coeffs
+from divfree import tensors
 from divfree.exterior import PFormValue
 from divfree.fields import tensor_grid
 from divfree.manufactured import closed_trig_form, study_model
@@ -21,7 +22,7 @@ from divfree.models import (EMState, GasState, LagrangianModel, RelativisticStat
                             list_models, typed_state)
 from divfree.tensors import TensorValue, _assembly_table, general_tensor_array, symmetry_defect
 
-from helpers import rel_gap, sampled_states
+from helpers import rel_gap, same_bits, sampled_states
 
 GAS_WITNESS = GasState(rho=1.0, q=[1.0])
 EM_WITNESS = EMState(E=[1.0, 0.0, 0.0], B=[0.0, 1.0, 0.0])
@@ -199,35 +200,44 @@ def _cell_major_tensor_array(model, A, s=0.0):
     return T
 
 
-def _same_bits(a, b):
-    """Equal shapes, values and signs of zero."""
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
 USER_EXPR = {"expr": "A0^2/2 + s*A1 + exp(-A1^2)", "d": 2, "p": 1}
 
 
 @pytest.mark.parametrize("name", [m["name"] for m in list_models()])
-def test_assembly_is_the_cell_major_loop_bit_for_bit(name):
+def test_assembly_is_the_cell_major_loop_bit_for_bit(name, monkeypatch):
     model = build_model(name, USER_EXPR if name == "user-expr" else None)
     A, s = sampled_states(model, 23, seed=16)
-    assert _same_bits(general_tensor_array(model, A, s), _cell_major_tensor_array(model, A, s))
-    # one state: L is 0-d and every row of the component-major buffer a scalar
-    one = general_tensor_array(model, A[0], float(s[0]))
-    assert one.shape == (model.d, model.d)
-    assert _same_bits(one, _cell_major_tensor_array(model, A[0], float(s[0])))
+    A[9, 0] = np.nan  # a NaN cell stays a NaN tensor, in whichever block
+    grid, s_grid = A[:21].reshape(3, 7, -1), s[:21].reshape(3, 7)
+    for block in (tensors._BLOCK_NODES, 4):
+        monkeypatch.setattr(tensors, "_BLOCK_NODES", block)
+        # with blocks of 4: empty, below one block, exactly one, one plus
+        # one node, and several with a ragged tail; per-node and scalar s
+        for n in (0, 3, 4, 5, 23):
+            for s_n in (s[:n], 0.25):
+                assert same_bits(general_tensor_array(model, A[:n], s_n),
+                                 _cell_major_tensor_array(model, A[:n], s_n))
+        # a multi-axis grid batch, whose blocks cross its rows
+        assert same_bits(general_tensor_array(model, grid, s_grid),
+                         _cell_major_tensor_array(model, grid, s_grid))
+        # one state: L is 0-d and every row of the component-major buffer a scalar
+        one = general_tensor_array(model, A[0], float(s[0]))
+        assert one.shape == (model.d, model.d)
+        assert same_bits(one, _cell_major_tensor_array(model, A[0], float(s[0])))
+        # an empty batch still reaches the model, which checks its width
+        with pytest.raises(ValueError, match="coefficients"):
+            general_tensor_array(model, np.zeros((0, model.n_coeffs + 1)))
 
 
 def test_assembly_keeps_the_signs_of_zero_products():
     mx = build_model("maxwell-linear")
     A = np.array([[0.0, -0.0, 0.5, 0.0, -1.0, 0.0], [0.0] * 6])
-    assert _same_bits(general_tensor_array(mx, A), _cell_major_tensor_array(mx, A))
+    assert same_bits(general_tensor_array(mx, A), _cell_major_tensor_array(mx, A))
     # L = -0.0 and dL/dA = -0.0 at A = 0: the loop's 0.0 + A G turns the first
     # -0.0 product into +0.0, and L - 0.0 then keeps the diagonal at -0.0
     neg = LagrangianModel("neg-iso", 2, 1, lambda c, s: -0.5 * (c[0] * c[0] + c[1] * c[1]))
     zero = np.zeros((3, 2))
-    assert _same_bits(general_tensor_array(neg, zero), _cell_major_tensor_array(neg, zero))
+    assert same_bits(general_tensor_array(neg, zero), _cell_major_tensor_array(neg, zero))
 
 
 def test_grid_assembly_is_the_cell_major_loop_and_shares_no_memory():
@@ -235,9 +245,9 @@ def test_grid_assembly_is_the_cell_major_loop_and_shares_no_memory():
     grid = GridField.from_function(closed_trig_form(3, 2, seed=101), 3, 2, (6, 7, 8),
                                    (0.125,) * 3, entropy_fn=lambda Y: np.sin(Y[..., 0]))
     general = tensor_grid(model, grid)
-    assert _same_bits(general, _cell_major_tensor_array(model, grid.values, grid.entropy))
+    assert same_bits(general, _cell_major_tensor_array(model, grid.values, grid.entropy))
     again = tensor_grid(model, grid)
-    assert _same_bits(again, general)
+    assert same_bits(again, general)
     assert not np.shares_memory(again, general)
     assert not np.shares_memory(general, grid.values)
 
