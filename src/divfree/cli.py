@@ -277,8 +277,10 @@ def cmd_verify(args):
             report["div_rows"] = rows
             report["div_residual"] = float(rows.max())
             worst = np.maximum(worst, report["div_residual"])
-        # a NaN residual fails: it is not <= any tolerance
-        failed = args.tol is not None and not worst <= args.tol
+        # a non-finite cell fails even where no residual reads it, and a NaN
+        # residual fails: it is not <= any tolerance
+        failed = (report["nonfinite_cells"] > 0
+                  or (args.tol is not None and not worst <= args.tol))
         if args.tol is not None:
             report["tol"] = args.tol
         return report, failed

@@ -569,14 +569,22 @@ def _unit_rows(V):
     return V / np.sqrt(np.matmul(V[..., None, :], V[..., :, None])[..., 0])
 
 
-def _family_residual(model, nu, m_left, rho_jump_min):
+def _left_state(model, m_left):
+    """(rho_L, T_L) of the left state that every candidate jumps from."""
+    return (float(model.rho_of(m_left)),
+            general_tensor_array(model, momentum_to_coeffs(m_left[None, :]), 0.0))
+
+
+def _family_residual(model, nu, m_left, rho_jump_min, left=None):
     """Smallest jump residual over candidate right states with a genuine
     density jump; the residual couples |[T] nu| with |[m . nu]|.
 
     ``nu`` is one normal (d,) or a batch (K, d) of normals.  The candidates
     of every normal step from m_left along Lam^{-1} nu and a basis of the
-    plane nu . w = 0, and are assembled in one tensor call.  Returns a float
-    for one normal and a (K,) array for a batch; a normal with no admissible
+    plane nu . w = 0, and are assembled in one tensor call.  ``left`` is
+    ``_left_state(model, m_left)``, built here when not given; a search
+    builds it once and passes it to every call.  Returns a float for one
+    normal and a (K,) array for a batch; a normal with no admissible
     candidate scores inf.
     """
     nu = np.asarray(nu, dtype=float)
@@ -592,14 +600,13 @@ def _family_residual(model, nu, m_left, rho_jump_min):
     # every candidate, normal-major: (K, d directions, steps) flattened
     m_R = (m_left + _LAM_GRID[:, None] * dirs[:, :, None, :]).reshape(-1, d)
     owner = np.repeat(np.arange(K), d * _LAM_GRID.size)
-    rho_L = float(model.rho_of(m_left))
+    rho_L, T_L = _left_state(model, m_left) if left is None else left
     r2 = model.rho_sq(m_R)
     keep = r2 > 1e-10
     keep[keep] = np.abs(np.sqrt(r2[keep]) - rho_L) >= rho_jump_min
     resid = np.full(keep.shape, np.inf)
     if keep.any():
         m_R, nu_R = m_R[keep], nu[owner[keep]]
-        T_L = general_tensor_array(model, momentum_to_coeffs(m_left[None, :]), 0.0)
         # T_R is a fresh buffer, so [T] is formed in place
         T_R = general_tensor_array(model, momentum_to_coeffs(m_R), 0.0)
         jump_T = np.subtract(T_R, T_L, out=T_R)
@@ -617,10 +624,11 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
     nu(theta) = (cos theta, sin theta, 0, 0) for the angle admitting a
     genuine jump of the limit density.
 
-    Scores the coarse theta grid in batched objective calls of up to 128
-    angles, then golden sections the bracket around its smallest family
-    residual.  Returns the winning angle, normal, residual and the
-    light-cone quadratic nu^T Lam^{-1} nu at the winner.
+    Assembles the left state once, scores the coarse theta grid in batched
+    objective calls of up to 128 angles, then golden sections the bracket
+    around its smallest family residual, scoring each distinct angle once.
+    Returns the winning angle, normal, residual and the light-cone
+    quadratic nu^T Lam^{-1} nu at the winner.
     """
     if not isinstance(model, RelativisticModel):
         raise ValueError(f"the light-like normal search needs a relativistic "
@@ -635,14 +643,22 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
     def nu_of(theta):
         return np.array([math.cos(theta), math.sin(theta), 0.0, 0.0])
 
+    left = _left_state(model, m_left)
+    # the bracket reaches machine precision before the last steps, which
+    # then revisit angles already scored; the objective is deterministic
+    scored = {}
+
     def objective(theta):
-        return _family_residual(model, nu_of(theta), m_left, rho_jump_min)
+        if theta not in scored:
+            scored[theta] = _family_residual(model, nu_of(theta), m_left,
+                                             rho_jump_min, left)
+        return scored[theta]
 
     thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, coarse)
     # nu_of, not np.cos/np.sin, so the scan rounds as the refine does
     nus = np.array([nu_of(t) for t in thetas])
     vals = np.concatenate([
-        _family_residual(model, nus[i:i + _SCAN_BATCH], m_left, rho_jump_min)
+        _family_residual(model, nus[i:i + _SCAN_BATCH], m_left, rho_jump_min, left)
         for i in range(0, coarse, _SCAN_BATCH)])
     k = int(np.argmin(vals))
     a = thetas[max(k - 1, 0)]

@@ -1,4 +1,5 @@
 """Shared sampling, comparison and process helpers for the test suite."""
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 
 import divfree
 from divfree.conventions import momentum_to_coeffs
-from divfree.fields import _LAM_GRID
+from divfree.fields import _LAM_GRID, _REFINE_ITERS
 from divfree.invariance import generator_defects
 from divfree.tensors import general_tensor_array, symmetry_defect
 
@@ -65,6 +66,43 @@ def family_residual_loop(model, nu, m_left, rho_jump_min):
             m_nu = np.abs((m_R - m_left[None, :]) @ nu)
             best = min(best, float(np.maximum(jump, m_nu).min()))
     return best
+
+
+def normal_search_reference(model, m_left, rho_jump_min=0.05, coarse=121):
+    """Reference for fields.lightlike_normal_search: the same coarse scan and
+    golden section, with no memo, every angle scored on its own by
+    family_residual_loop, which builds its own left state.  Returns the
+    winning (theta, residual, nu) and the refine angles in the order they
+    were scored, repeats included."""
+    def nu_of(theta):
+        return np.array([math.cos(theta), math.sin(theta), 0.0, 0.0])
+
+    def objective(theta):
+        refined.append(theta)
+        return family_residual_loop(model, nu_of(theta), m_left, rho_jump_min)
+
+    refined = []
+    thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, coarse)
+    vals = [family_residual_loop(model, nu_of(t), m_left, rho_jump_min) for t in thetas]
+    k = int(np.argmin(vals))
+    a, b = thetas[max(k - 1, 0)], thetas[min(k + 1, coarse - 1)]
+    theta, residual = thetas[k], vals[k]
+    if a < b:
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = b - phi * (b - a), a + phi * (b - a)
+        f1, f2 = objective(x1), objective(x2)
+        for _ in range(_REFINE_ITERS):
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - phi * (b - a)
+                f1 = objective(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + phi * (b - a)
+                f2 = objective(x2)
+        theta = x1 if f1 <= f2 else x2
+        residual = min(f1, f2)
+    return float(theta), float(residual), nu_of(theta), refined
 
 
 def same_bits(a, b):

@@ -178,6 +178,46 @@ def test_verify_field_with_a_nan_entropy_cell_fails(tmp_path, capsys):
     assert report["div_rows"] == ["nan", "nan"]
 
 
+def _uniform_gas_grid(tmp_path, entropy_cell):
+    """A uniform 160^2 gas grid (more than one assembly block) at rho 1.3,
+    q 0.4, s 0.2, where every residual is 0; ``entropy_cell`` holds the
+    entropy written at [80, 80]."""
+    from divfree import GridField, save_grid
+
+    g = GridField.from_function(lambda Y: np.full(Y.shape[:-1] + (2,), [-0.4, 1.3]),
+                                2, 1, (160, 160), (1 / 160, 1 / 160),
+                                entropy_fn=lambda Y: np.full(Y.shape[:-1], 0.2))
+    g.entropy[80, 80] = entropy_cell
+    return str(save_grid(g, tmp_path / "gas.json"))
+
+
+VERIFY_FIELD_FLAGS = (["--model", "gas", "--tol", "1e-10"], ["--tol", "1e-10"],
+                      ["--model", "gas"], [])
+
+
+@pytest.mark.parametrize("flags", VERIFY_FIELD_FLAGS)
+def test_verify_field_fails_a_nonfinite_cell_no_residual_reads(tmp_path, capsys, flags):
+    # the gas density never reads s, so every residual stays 0: only the
+    # cell count can fail the check, with or without --tol
+    path = _uniform_gas_grid(tmp_path, np.nan)
+    code, out = run_cli(capsys, ["verify", "--field", path] + flags)
+    assert code == 2
+    report = json.loads(out)
+    assert report["nonfinite_cells"] == 1
+    assert report["closedness_residual"] == 0.0
+    assert report.get("div_residual", 0.0) == 0.0
+
+
+@pytest.mark.parametrize("flags", VERIFY_FIELD_FLAGS)
+def test_verify_field_passes_a_finite_grid(tmp_path, capsys, flags):
+    path = _uniform_gas_grid(tmp_path, 0.2)
+    code, out = run_cli(capsys, ["verify", "--field", path] + flags)
+    assert code == 0
+    report = json.loads(out)
+    assert report["nonfinite_cells"] == 0
+    assert report.get("div_residual", 0.0) == 0.0
+
+
 def test_jump_search_mode(capsys):
     code, out = run_cli(capsys, ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]"])
     assert code == 0

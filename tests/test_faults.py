@@ -7,20 +7,32 @@ stopped looking would show here.
 import numpy as np
 
 import divfree.conventions
+import divfree.fields
 import divfree.invariance
 import divfree.models
 import divfree.tensors
-from divfree import (ad_gradient, assemble, build_model, euclidean_metric,
-                     finite_difference_gradient)
+from divfree import (ad_gradient, assemble, build_model, case_refinement, euclidean_metric,
+                     finite_difference_gradient, lightlike_normal_search)
 from divfree import dualnum
-from divfree.models import typed_state
+from divfree.fields import rankine_hugoniot
+from divfree.manufactured import run_case
+from divfree.models import RelativisticState, typed_state
 from divfree.tensors import general_tensor_array
 
-from helpers import rel_gap, sampled_states, trace_identity_gap
+from helpers import limit_jump_states, rel_gap, sampled_states, trace_identity_gap
 
-# criterion 01 gates the block forms, criterion 06 the difference gradient
+# criterion 01 gates the block forms, criterion 06 the difference gradient,
+# criterion 08 the search residual and the density jump, criterion 09 the
+# advected-entropy order and the shear floor
 BLOCK_TOL = 1e-12
 DIFFERENCE_TOL = 1e-6
+SEARCH_TOL = 1e-10
+RHO_JUMP_MIN = 0.05
+ENTROPY_ORDER = 1.9
+SHEAR_FLOOR = 0.9
+
+# criterion 08's left state
+M_LEFT = np.array([2.0, 0.3, -0.1, 0.2])
 
 
 def block_gap(model, A, s, states):
@@ -90,3 +102,57 @@ def test_flipped_cos_chain_rule_breaks_the_difference_check(monkeypatch):
     monkeypatch.setitem(dualnum.FUNCTIONS, "cos",
                         dualnum._lift(np.cos, lambda v, y, e: np.sin(v) * e))
     assert gap() > DIFFERENCE_TOL
+
+
+def test_stale_left_state_breaks_the_lightlike_search(monkeypatch):
+    # the search hoists the left state out of its objective; one built from
+    # another m_left leaves a jump in [T] nu that no normal closes
+    model = build_model("relativistic-limit")
+    assert lightlike_normal_search(model, M_LEFT)["residual"] <= SEARCH_TOL
+    real = divfree.fields._family_residual
+    rho_L, _ = divfree.fields._left_state(model, M_LEFT)
+    _, stale_T_L = divfree.fields._left_state(model, M_LEFT + [1e-6, 0.0, 0.0, 0.0])
+
+    def faulty(model, nu, m_left, rho_jump_min, left=None):
+        return real(model, nu, m_left, rho_jump_min, (rho_L, stale_T_L))
+
+    monkeypatch.setattr(divfree.fields, "_family_residual", faulty)
+    assert lightlike_normal_search(model, M_LEFT)["residual"] > SEARCH_TOL
+
+
+def test_right_density_read_twice_hides_the_density_jump(monkeypatch):
+    model = build_model("relativistic-limit")
+    nu = lightlike_normal_search(model, M_LEFT)["nu"]
+    left = RelativisticState(m=M_LEFT)
+    right = RelativisticState(m=limit_jump_states(model, M_LEFT, nu, 0.3))
+
+    def rho_jump():
+        return abs(rankine_hugoniot(model, left, right, nu)["rho_jump"])
+
+    assert rho_jump() >= RHO_JUMP_MIN
+    # [rho] reads the right state first: every later read sees it again
+    real, reads = model.rho_of, []
+
+    def right_twice(m):
+        reads.append(m)
+        return real(reads[0])
+
+    monkeypatch.setattr(model, "rho_of", right_twice)
+    assert rho_jump() < RHO_JUMP_MIN
+
+
+def test_dropped_time_term_breaks_entropy_transport(monkeypatch):
+    ladder = (8, 16, 32)
+
+    def gate():
+        orders = case_refinement("advected-entropy", ladder)["orders"]
+        floor = min(run_case("entropy-shear", n)["residual"] for n in ladder)
+        return min(orders) >= ENTROPY_ORDER and floor >= SHEAR_FLOOR
+
+    assert gate()
+    # the entropy cases difference only s, so a zero axis-0 difference is
+    # the transport residual without its m_0 d_t s term
+    real = divfree.fields._cd
+    monkeypatch.setattr(divfree.fields, "_cd", lambda arr, axis, h, nd: (
+        np.zeros_like(real(arr, axis, h, nd)) if axis == 0 else real(arr, axis, h, nd)))
+    assert not gate()

@@ -12,6 +12,7 @@ from divfree import (
     case_refinement,
     coeffs_to_momentum,
     lightlike_normal_search,
+    momentum_to_coeffs,
     save_grid,
     variation_study,
 )
@@ -37,8 +38,9 @@ from divfree.fields import (
 )
 from divfree.manufactured import CASES, bump_variation, closed_trig_form, run_case, study_model
 from divfree.models import GasState, RelativisticState
+from divfree.tensors import general_tensor_array
 
-from helpers import family_residual_loop, limit_jump_states, same_bits
+from helpers import family_residual_loop, limit_jump_states, normal_search_reference, same_bits
 
 
 def _gas_momentum_grid(n):
@@ -613,11 +615,57 @@ def test_a_one_angle_scan_is_not_refined(monkeypatch):
 
     monkeypatch.setattr("divfree.fields._family_residual", counted)
     found = lightlike_normal_search(lim, m_left, coarse=1)
-    assert len(calls) <= 2
-    # what the golden section of the empty bracket a = b = 1e-3 returned
+    # the coarse batch alone, scored against the search's own left state
+    assert len(calls) == 1
+    rho_L, T_L = calls[0][4]
+    assert rho_L == lim.rho_of(m_left)
+    assert T_L.tobytes() == general_tensor_array(lim, momentum_to_coeffs(m_left[None, :])).tobytes()
+    # what the golden section of the empty bracket a = b = 1e-3 returned,
+    # against a call that builds its own left state
     nu = np.array([math.cos(1e-3), math.sin(1e-3), 0.0, 0.0])
     assert found["theta"] == 1e-3 and found["nu"].tobytes() == nu.tobytes()
     assert found["residual"] == objective(lim, nu, m_left, 0.05)
+
+
+SEARCH_LEFT_STATES = ([2.0, 0.3, -0.1, 0.2], [1.7, -0.2, 0.35, 0.1],
+                      [2.6, 0.4, 0.0, -0.3], [3.0, -0.4, -0.4, 0.4])
+
+
+@pytest.mark.parametrize("name", ("relativistic-limit", "relativistic"))
+def test_normal_search_is_the_unmemoised_loop_bit_for_bit(name):
+    model = build_model(name)
+    for m_left in map(np.array, SEARCH_LEFT_STATES):
+        found = lightlike_normal_search(model, m_left)
+        theta, residual, nu, _ = normal_search_reference(model, m_left)
+        assert found["theta"] == theta and found["residual"] == residual
+        assert found["nu"].tobytes() == nu.tobytes()
+
+
+def test_normal_search_scores_each_angle_once_on_one_left_state(monkeypatch):
+    lim = build_model("relativistic-limit")
+    objective, tensor = _family_residual, general_tensor_array
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr("divfree.fields._family_residual", counted("objective", objective))
+    monkeypatch.setattr("divfree.fields.general_tensor_array", counted("tensor", tensor))
+    repeats = 0
+    for m_left in map(np.array, SEARCH_LEFT_STATES):
+        counts.update(objective=0, tensor=0)
+        lightlike_normal_search(lim, m_left)
+        refined = normal_search_reference(lim, m_left)[3]
+        # the coarse batch, then each distinct refine angle once; one tensor
+        # call per objective call for the candidates, one for the left state
+        assert counts["objective"] == 1 + len(set(refined))
+        assert counts["tensor"] == counts["objective"] + 1
+        repeats += len(refined) - len(set(refined))
+    # the golden section does revisit angles, so the memo is exercised
+    assert repeats > 0
 
 
 @pytest.mark.parametrize("m_left, kwargs", (
