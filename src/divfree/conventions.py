@@ -42,6 +42,12 @@ the Poynting residual d/dt W + div(E x H) up to rounding: the assembly sums
 the products in another order than the cross product does.  The two agree
 bitwise on waves with E_z = 0, such as the catalog plane wave.
 
+Euler-Lagrange residual.  With g = dL/dA the coefficient-space gradient,
+(div G)_K = sum_j d/dy_j G_{jK}, where G_{jK} reads g through the
+permutation sign of jK exactly as the tensor does.  For a closed form at
+constant s, (Div T)_i = - sum_K A_{iK} (div G)_K; for p = d - 1 the
+residual is the spacetime curl of dL/dm.
+
 Pullback direction.  Coefficients transform by B_J = sum_I A_I minor(M, I, J),
 giving (M1 @ M2)^* = M2^* o M1^*; the infinitesimal action is its exact
 t-derivative along expm(t N) (for p = 1 this is B = N^T A).

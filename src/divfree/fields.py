@@ -254,14 +254,15 @@ def tensor_grid(model, grid):
 
 
 def div_rows(T_field, spacing, d):
-    """Row-wise divergence sum_j d/dy_j T_ij on interior nodes, as a
-    (..., dim) view of a component-major (dim, ...) buffer.
+    """Row-wise divergence sum_j d/dy_j T_ij on interior nodes of a
+    (..., rows, d) field, as a (..., rows) view of a component-major
+    (rows, ...) buffer.
 
     Each row sums its central differences onto 0.0 in axis order, the
     arithmetic of ``0.0 + _cd(..) + ..``, with every difference taken into
     one scratch array.
     """
-    dim = T_field.shape[-1]
+    dim = T_field.shape[-2]
     inner = tuple(max(n - 2, 0) for n in T_field.shape[:d])
     out = np.zeros((dim,) + inner)
     term = np.empty(inner)
@@ -281,6 +282,28 @@ def div_T_residual(model, grid):
     T = tensor_grid(model, grid)
     rows = div_rows(T, grid.spacing, grid.d)
     return np.abs(rows).max(axis=tuple(range(grid.d)))
+
+
+def euler_lagrange_rows(model, grid):
+    """(div G)_K = sum_j d/dy_j G_{jK} on interior nodes, as a
+    (..., C(d, p-1)) field, for G = dL/dA with jK read through its
+    permutation sign.
+
+    Its vanishing is the Euler-Lagrange equation for variations
+    alpha + d beta.  Row K gathers (axis j, slot of jK, sign) from the
+    exterior derivative table of degree p - 1 read transposed, since the
+    divergence is the adjoint of d, and the field goes through div_rows.
+    """
+    _require_interior(grid)
+    d, p = grid.d, grid.p
+    s = grid.entropy if grid.entropy is not None else 0.0
+    g = model.gradient(grid.values, s)
+    G = np.zeros((form_basis(d, p - 1).size, d) + grid.dims)
+    for J, terms in exterior_derivative_table(d, p - 1):
+        g_J = g[..., form_basis(d, p).index[J]]
+        for axis, K, sign in terms:
+            G[K, axis] = sign * g_J
+    return div_rows(G.transpose(tuple(range(2, G.ndim)) + (0, 1)), grid.spacing, d)
 
 
 def poynting_residual(model, grid):
@@ -454,7 +477,7 @@ def divergence_pairing(model, grid, var):
 
 
 # ---------------------------------------------------------------------------
-# entropy transport and potential flow
+# entropy transport
 
 
 def entropy_transport_residual(model, grid):
@@ -475,34 +498,6 @@ def entropy_transport_residual(model, grid):
         "residual": float(np.abs(acc).max()),
         "factor_min": float(np.min(factor)),
         "factor_max": float(np.max(factor)),
-    }
-
-
-def bernoulli_check(model, psi, rho, spacing, s=0.0):
-    """Potential-flow residuals for v = grad psi on a (t, x) grid.
-
-    Returns the max-norm discrete curl of v (zero to roundoff, since central
-    differences commute) and the Bernoulli residual
-    d/dt psi + |grad psi|^2 / 2 + g_rho(rho, s).
-    """
-    psi = np.asarray(psi, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    d = psi.ndim
-    if any(n < 5 for n in psi.shape):
-        raise ValueError("need at least 5 nodes per axis for the curl check")
-    v = [_cd(psi, a, spacing[a], d) for a in range(1, d)]
-    curl = 0.0
-    for a in range(len(v)):
-        for b in range(a + 1, len(v)):
-            term = _cd(v[b], 1 + a, spacing[1 + a], d) - _cd(v[a], 1 + b, spacing[1 + b], d)
-            curl = max(curl, float(np.abs(term).max()))
-    dt_psi = _cd(psi, 0, spacing[0], d)
-    speed2 = sum(_interior(vi, d) ** 2 for vi in v)
-    g_rho = model.g_rho(_interior(_interior(rho, d), d), s)
-    bern = _interior(dt_psi, d) + 0.5 * speed2 + g_rho
-    return {
-        "curl_residual": float(curl),
-        "bernoulli_residual": float(np.abs(bern).max()),
     }
 
 

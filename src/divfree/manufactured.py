@@ -19,10 +19,10 @@ from .exterior import exterior_derivative_table, form_basis
 from .fields import (
     GridField,
     VariationField,
-    bernoulli_check,
     closedness_residual,
     div_T_residual,
     entropy_transport_residual,
+    euler_lagrange_rows,
     first_variation,
     observed_order,
 )
@@ -32,7 +32,7 @@ from .models import LagrangianModel, build_model
 @dataclass(frozen=True)
 class ManufacturedCase:
     name: str
-    kind: str          # divergence | closedness | entropy | bernoulli
+    kind: str          # divergence | closedness | entropy | euler-lagrange
     expected: str      # zero | order2 | floor
     floor: float
     tol: float
@@ -100,22 +100,18 @@ def _case_closed_cubic(n):
     return GridField.from_function(fn, 3, 1, (n,) * 3, (1.0 / n,) * 3)
 
 
-def _bernoulli(trig):
-    """Builder of a gas potential psi and density rho on the (t, x1) grid."""
-    def build(n):
-        h = 1.0 / n
-        t = h * np.arange(n)[:, None]
-        x = h * np.arange(n)[None, :]
-        if trig:
-            psi = -1.5 * t + np.sin(x) + 0.0 * t
-            rho = 1.5 - 0.5 * np.cos(x) ** 2 + 0.0 * t
-        else:
-            psi = -1.5 * t + x + 0.0 * t
-            rho = np.ones((n, n))
-        return (build_model("gas", {}), np.broadcast_to(psi, (n, n)).copy(),
-                np.broadcast_to(rho, (n, n)).copy(), (h, h))
+def _case_potential_flow(n):
+    # v = psi_x for psi = -2 t + 0.3 sin(2 x1 + t / 2), and Bernoulli's law
+    # fixes rho = -psi_t - v^2 / 2 (g_rho = rho at gamma = 2), so that
+    # dL/dm = (-v^2 / 2 - g_rho, v) is the spacetime gradient of psi
+    def fn(Y):
+        phase = 2.0 * Y[..., 1] + 0.5 * Y[..., 0]
+        v = 0.6 * np.cos(phase)
+        rho = 2.0 - 0.15 * np.cos(phase) - 0.5 * v * v
+        return momentum_to_coeffs(np.stack([rho, rho * v], axis=-1))
 
-    return build
+    grid = GridField.from_function(fn, 2, 1, (n, n), (1.0 / n, 1.0 / n))
+    return build_model("gas", {}), grid
 
 
 CASES = {case.name: case for case in (
@@ -150,13 +146,14 @@ CASES = {case.name: case for case in (
         "s = x1 against m = (1, 1): transport residual is exactly 1",
         _uniform_momentum("gas", {"mu": 1.0}, [1.0, 1.0], lambda Y: Y[..., 1])),
     ManufacturedCase(
-        "bernoulli-linear", "bernoulli", "zero", 0.0, 1e-12,
-        "psi = -1.5 t + x1 with rho = 1: both residuals vanish to roundoff",
-        _bernoulli(trig=False)),
+        "potential-flow-uniform", "euler-lagrange", "zero", 0.0, 1e-12,
+        "constant m = (1, 1): dL/dm is constant, so div G vanishes identically",
+        _uniform_momentum("gas", {}, [1.0, 1.0])),
     ManufacturedCase(
-        "bernoulli-trig", "bernoulli", "order2", 0.0, 0.0,
-        "psi = -1.5 t + sin(x1), rho = 1.5 - cos(x1)^2 / 2: residual decays at order 2",
-        _bernoulli(trig=True)),
+        "potential-flow-unsteady", "euler-lagrange", "order2", 0.0, 0.0,
+        "psi = -2 t + 0.3 sin(2 x1 + t / 2), rho from Bernoulli's law: dL/dm = grad psi, "
+        "div G decays at order 2",
+        _case_potential_flow),
 )}
 
 
@@ -176,9 +173,10 @@ def run_case(name, n):
         report["floor"] = case.floor
     if case.expected == "zero":
         report["tol"] = case.tol
-    if case.kind == "divergence":
+    if case.kind in ("divergence", "euler-lagrange"):
         model, grid = built
-        rows = div_T_residual(model, grid)
+        rows = (div_T_residual(model, grid) if case.kind == "divergence" else
+                np.abs(euler_lagrange_rows(model, grid)).max(axis=tuple(range(grid.d))))
         report["rows"] = [float(r) for r in rows]
         report["residual"] = float(rows.max())
     elif case.kind == "closedness":
@@ -186,11 +184,6 @@ def run_case(name, n):
     elif case.kind == "entropy":
         model, grid = built
         report.update(entropy_transport_residual(model, grid))
-    elif case.kind == "bernoulli":
-        model, psi, rho, spacing = built
-        r = bernoulli_check(model, psi, rho, spacing)
-        report["curl_residual"] = r["curl_residual"]
-        report["residual"] = r["bernoulli_residual"]
     return report
 
 

@@ -9,8 +9,11 @@ import numpy as np
 
 import divfree
 from divfree.conventions import momentum_to_coeffs
-from divfree.fields import _LAM_GRID, _REFINE_ITERS
+from divfree.exterior import form_basis
+from divfree.fields import (_LAM_GRID, _REFINE_ITERS, _interior, div_rows, euler_lagrange_rows,
+                            tensor_grid)
 from divfree.invariance import generator_defects
+from divfree.manufactured import closed_trig_form, study_model
 from divfree.tensors import general_tensor_array, symmetry_defect
 
 
@@ -36,6 +39,51 @@ def trace_identity_gap(model, S, states):
     _, gens = generator_defects(model, S, states)
     return float(np.max([g["gap"].max() / max(1.0, np.abs(g["pairing"]).max())
                          for g in gens.values()]))
+
+
+def euler_lagrange_gap(model, grid):
+    """(max |Div T + A . div G|, max |Div T|) on interior nodes, with
+    A_{iK} read through the sign of basis.slot((i,) + K) as the assembly
+    reads it.  For a closed field at constant s the gap falls at order 2
+    while Div T stays put."""
+    d, p = grid.d, grid.p
+    div_T = div_rows(tensor_grid(model, grid), grid.spacing, d)
+    div_G = euler_lagrange_rows(model, grid)
+    A = _interior(grid.values, d)
+    gap = np.array(div_T)
+    for i in range(d):
+        for k, K in enumerate(form_basis(d, p - 1).tuples):
+            slot, sign = form_basis(d, p).slot((i,) + K)
+            if sign:
+                gap[..., i] += sign * A[..., slot] * div_G[..., k]
+    return float(np.abs(gap).max()), float(np.abs(div_T).max())
+
+
+# (d, p) -> (scale, resolutions): the seed-0 study model on
+# closed_trig_form(d, p, 101, modes=1) sampled at scale * Y, at s = 0, whose
+# identity gap is in its asymptotic range on these resolutions
+IDENTITY_LADDERS = {
+    (2, 1): (1 / 16, (8, 16, 32)), (2, 2): (1 / 4, (8, 16, 32, 64)),
+    (3, 1): (1 / 4, (32, 64)), (3, 2): (1 / 16, (8, 16, 32)), (3, 3): (1 / 4, (8, 16, 32)),
+    (4, 1): (1 / 16, (8, 16)), (4, 2): (1 / 16, (8, 16)), (4, 3): (1 / 16, (8, 16)),
+    (4, 4): (1 / 4, (8, 16)),
+}
+
+
+def euler_lagrange_identity(d, p):
+    """Observed orders of the identity gap along IDENTITY_LADDERS[(d, p)],
+    and max |Div T| per level."""
+    scale, ladder = IDENTITY_LADDERS[(d, p)]
+    model = study_model(d, p, 0)
+    form = closed_trig_form(d, p, 101, modes=1)
+    gaps, div_T = [], []
+    for n in ladder:
+        grid = divfree.GridField.from_function(lambda Y: form(scale * Y), d, p,
+                                               (n,) * d, (1.0 / n,) * d)
+        gap, top = euler_lagrange_gap(model, grid)
+        gaps.append(gap)
+        div_T.append(top)
+    return [math.log2(gaps[k] / gaps[k + 1]) for k in range(len(gaps) - 1)], div_T
 
 
 def limit_jump_states(model, m_left, nu, lam):

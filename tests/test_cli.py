@@ -94,6 +94,8 @@ def test_verify_list_mode(capsys):
     assert code == 0
     names = set(json.loads(out)["cases"])
     assert "maxwell-plane-wave" in names and "entropy-shear" in names
+    assert {"potential-flow-uniform", "potential-flow-unsteady"} <= names
+    assert not any(name.startswith("bernoulli") for name in names)
 
 
 def test_verify_refinement_reports_orders(capsys):

@@ -19,17 +19,22 @@ from divfree.manufactured import run_case
 from divfree.models import RelativisticState, typed_state
 from divfree.tensors import general_tensor_array
 
-from helpers import limit_jump_states, rel_gap, sampled_states, trace_identity_gap
+from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, limit_jump_states, rel_gap,
+                     sampled_states, trace_identity_gap)
 
-# criterion 01 gates the block forms, criterion 06 the difference gradient,
-# criterion 08 the search residual and the density jump, criterion 09 the
-# advected-entropy order and the shear floor
+# criterion 01 gates the block forms, criterion 04 the wave rows' orders,
+# criterion 06 the difference gradient, criterion 08 the search residual and
+# the density jump, criterion 09 the advected-entropy order and the shear
+# floor; the Euler-Lagrange identity gates its gap's order and |Div T|
 BLOCK_TOL = 1e-12
+WAVE_ORDER = 1.9
 DIFFERENCE_TOL = 1e-6
 SEARCH_TOL = 1e-10
 RHO_JUMP_MIN = 0.05
 ENTROPY_ORDER = 1.9
 SHEAR_FLOOR = 0.9
+IDENTITY_ORDER = 1.9
+IDENTITY_DIV_T = 0.1
 
 # criterion 08's left state
 M_LEFT = np.array([2.0, 0.3, -0.1, 0.2])
@@ -156,3 +161,37 @@ def test_dropped_time_term_breaks_entropy_transport(monkeypatch):
     monkeypatch.setattr(divfree.fields, "_cd", lambda arr, axis, h, nd: (
         np.zeros_like(real(arr, axis, h, nd)) if axis == 0 else real(arr, axis, h, nd)))
     assert not gate()
+
+
+def test_dropped_axis_term_breaks_the_wave_divergence(monkeypatch):
+    def row_orders():
+        reports = case_refinement("maxwell-plane-wave", (8, 16, 32))["reports"]
+        rows = np.array([r["rows"] for r in reports])
+        return np.log2(rows[:-1] / rows[1:]).min()
+
+    assert row_orders() >= WAVE_ORDER
+    # upper and lower neighbours coincide along the last axis, so div_rows
+    # sums every row without its d_{d-1} T_{i,d-1} term
+    real = divfree.fields._cd_neighbours
+    monkeypatch.setattr(divfree.fields, "_cd_neighbours", lambda axis, nd: (
+        (real(axis, nd)[0],) * 2 if axis == nd - 1 else real(axis, nd)))
+    assert row_orders() < WAVE_ORDER
+
+
+def test_flipped_gather_sign_breaks_the_euler_lagrange_identity(monkeypatch):
+    def holds(d, p):
+        orders, div_T = euler_lagrange_identity(d, p)
+        return min(orders) >= IDENTITY_ORDER and min(div_T) >= IDENTITY_DIV_T
+
+    assert all(holds(d, p) for d, p in IDENTITY_LADDERS)
+    # the gather reads the sign of jK off the exterior derivative table;
+    # flip the first term of its first row.  A single-mode field is constant
+    # along some axes, so the flip shows on most (d, p), not on every one
+    real = divfree.fields.exterior_derivative_table
+
+    def flipped(d, p):
+        (J, ((axis, slot, sign), *rest)), *rows = real(d, p)
+        return ((J, ((axis, slot, -sign), *rest)), *rows)
+
+    monkeypatch.setattr(divfree.fields, "exterior_derivative_table", flipped)
+    assert not all(holds(d, p) for d, p in IDENTITY_LADDERS)

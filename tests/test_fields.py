@@ -23,11 +23,11 @@ from divfree.fields import (
     _cd,
     _family_residual,
     _interior,
-    bernoulli_check,
     closedness_residual,
     div_T_residual,
     div_rows,
     divergence_pairing,
+    euler_lagrange_rows,
     first_variation,
     load_grid,
     load_grid_csv,
@@ -40,7 +40,8 @@ from divfree.manufactured import CASES, bump_variation, closed_trig_form, run_ca
 from divfree.models import GasState, RelativisticState
 from divfree.tensors import general_tensor_array
 
-from helpers import family_residual_loop, limit_jump_states, normal_search_reference, same_bits
+from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, family_residual_loop,
+                     limit_jump_states, normal_search_reference, same_bits)
 
 
 def _gas_momentum_grid(n):
@@ -495,21 +496,42 @@ def test_entropy_shear_residual_does_not_refine():
         assert abs(rep["factor_max"] - np.exp(hi) / 2.0) < 1e-9
 
 
-def test_bernoulli_linear_flow_is_exact():
-    rep = run_case("bernoulli-linear", 8)
-    assert rep["curl_residual"] == 0.0
-    assert rep["residual"] == 0.0
+def test_uniform_flow_has_no_euler_lagrange_residual():
+    rep = run_case("potential-flow-uniform", 8)
+    assert rep["rows"] == [0.0] and rep["residual"] == 0.0
 
 
-def test_bernoulli_trig_flow_refines():
-    rep = case_refinement("bernoulli-trig", (8, 16))
-    assert rep["orders"][0] > 1.9
+def test_potential_flow_euler_lagrange_residual_refines():
+    rep = case_refinement("potential-flow-unsteady", (8, 16, 32))
+    assert min(rep["orders"]) >= 1.9
 
 
-def test_bernoulli_needs_a_wide_enough_grid():
-    gas = build_model("gas")
-    with pytest.raises(ValueError):
-        bernoulli_check(gas, np.zeros((4, 4)), np.ones((4, 4)), (0.25, 0.25))
+def test_euler_lagrange_rows_need_interior_nodes():
+    model, grid = CASES["potential-flow-uniform"].build(8)
+    small = dataclasses.replace(grid, dims=(2, 8), values=grid.values[:2])
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        euler_lagrange_rows(model, small)
+
+
+@pytest.mark.parametrize("case", ("potential-flow-unsteady", "gas-pressure-imbalance"))
+def test_momentum_euler_lagrange_rows_are_the_curl_of_dL_dm(case):
+    # p = d - 1 in d = 2: div G is the (t, x) curl of dL/dm, Bernoulli's
+    # law in differential form, on a solution or not
+    model, grid = CASES[case].build(16)
+    w = model.m_gradient(coeffs_to_momentum(grid.values), 0.0)
+    curl = _cd(w[..., 0], 1, grid.spacing[1], 2) - _cd(w[..., 1], 0, grid.spacing[0], 2)
+    rows = euler_lagrange_rows(model, grid)
+    assert rows.shape == curl.shape + (1,)
+    assert np.array_equal(rows[..., 0], curl)
+
+
+@pytest.mark.parametrize("d,p", sorted(IDENTITY_LADDERS))
+def test_div_T_is_minus_A_dot_div_G_off_shell(d, p):
+    # on a closed field that solves nothing, at constant s, Div T and
+    # -A . div G differ by O(h^2) while Div T stays O(1)
+    orders, div_T = euler_lagrange_identity(d, p)
+    assert min(orders) >= 1.9
+    assert min(div_T) >= 0.1
 
 
 def test_static_pressure_jump_report():
