@@ -621,7 +621,7 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
 
     Assembles the left state once, scores the coarse theta grid in batched
     objective calls of up to 128 angles, then golden sections the bracket
-    around its smallest family residual, scoring each distinct angle once.
+    around its smallest residual, two steps per call, each angle once.
     Returns the winning angle, normal, residual and the light-cone
     quadratic nu^T Lam^{-1} nu at the winner.
     """
@@ -639,43 +639,41 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
         return np.array([math.cos(theta), math.sin(theta), 0.0, 0.0])
 
     left = _left_state(model, m_left)
-    # the bracket reaches machine precision before the last steps, which
-    # then revisit angles already scored; the objective is deterministic
+    # theta -> residual; a batch scores as one-angle calls do, and the last
+    # steps, at machine precision, revisit angles already scored
     scored = {}
 
-    def objective(theta):
-        if theta not in scored:
-            scored[theta] = _family_residual(model, nu_of(theta), m_left,
-                                             rho_jump_min, left)
-        return scored[theta]
+    def score(angles):
+        new = [t for t in dict.fromkeys(angles) if t not in scored]
+        for i in range(0, len(new), _SCAN_BATCH):
+            nus = np.array([nu_of(t) for t in new[i:i + _SCAN_BATCH]])
+            vals = _family_residual(model, nus, m_left, rho_jump_min, left)
+            scored.update(zip(new[i:i + _SCAN_BATCH], vals.tolist()))
+
+    def steps(a, b, x1, x2):
+        # the bracket after one golden-section step, if f(x1) <= f(x2) and if not
+        return (a, x2, x2 - phi * (x2 - a), x1), (x1, b, x2, x1 + phi * (b - x1))
 
     thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, coarse)
-    # nu_of, not np.cos/np.sin, so the scan rounds as the refine does
-    nus = np.array([nu_of(t) for t in thetas])
-    vals = np.concatenate([
-        _family_residual(model, nus[i:i + _SCAN_BATCH], m_left, rho_jump_min, left)
-        for i in range(0, coarse, _SCAN_BATCH)])
+    score(thetas)
+    vals = [scored[t] for t in thetas]
     k = int(np.argmin(vals))
-    a = thetas[max(k - 1, 0)]
-    b = thetas[min(k + 1, coarse - 1)]
+    a, b = thetas[max(k - 1, 0)], thetas[min(k + 1, coarse - 1)]
     theta, residual = thetas[k], vals[k]
     # a one-angle scan leaves an empty bracket, a = b, with nothing to refine
     if a < b:
         phi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1, f2 = objective(x1), objective(x2)
-        for _ in range(_REFINE_ITERS):
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = objective(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = objective(x2)
-        theta = x1 if f1 <= f2 else x2
-        residual = min(f1, f2)
+        x1, x2 = b - phi * (b - a), a + phi * (b - a)
+        score([x1, x2])
+        # two steps per call (_REFINE_ITERS is even): one call scores the
+        # first step's new angle and both angles the second step could need
+        for _ in range(_REFINE_ITERS // 2):
+            a, b, x1, x2 = steps(a, b, x1, x2)[not scored[x1] <= scored[x2]]
+            lower, upper = steps(a, b, x1, x2)
+            score([x1, x2, lower[2], upper[3]])
+            a, b, x1, x2 = lower if scored[x1] <= scored[x2] else upper
+        theta = x1 if scored[x1] <= scored[x2] else x2
+        residual = min(scored[x1], scored[x2])
     nu = nu_of(theta)
     return {
         "theta": float(theta),

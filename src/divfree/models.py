@@ -361,11 +361,6 @@ class RelativisticModel(LagrangianModel):
         super().__init__(name, 4, 3, self._density, grad_fn=self._coeff_gradient,
                          metric_hint=self.Lam, params=dict(params or {}, c=c))
 
-    @property
-    def ultrarelativistic(self):
-        """Whether the power-law exponent is the ultra-relativistic 4/3."""
-        return abs(self.params.get("kappa", 0.0) - 4.0 / 3.0) < 1e-12
-
     def _density(self, comps, s):
         m = momentum_components(comps, self.d)
         c = self.c
@@ -403,9 +398,6 @@ class RelativisticModel(LagrangianModel):
     def pressure(self, rho, s=0.0):
         rho = np.asarray(rho, dtype=float)
         return rho * self.profile_rho(rho, s) - self.profile(rho, s)
-
-    def energy_density(self, rho, s=0.0):
-        return self.profile(np.asarray(rho, dtype=float), s) / (self.c * self.c)
 
     def sample_states(self, rng, n):
         ms = rng.standard_normal((n, 3))

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conventions import coeffs_to_momentum, em_to_coeffs, momentum_to_coeffs
+from .conventions import _slots_first, coeffs_to_momentum, em_to_coeffs, momentum_to_coeffs
 from .exterior import PFormValue, form_basis
 from .models import (EMState, GasModel, GasState, MaxwellModel, RelativisticModel,
                      RelativisticState)
@@ -144,10 +144,10 @@ def assemble_nform(model, m, s=0.0):
     A = momentum_to_coeffs(m)
     L = np.asarray(model.evaluate(A, s), dtype=float)
     dLdm = coeffs_to_momentum(model.gradient(A, s))
-    scalar = L - np.einsum("...k,...k->...", m, dLdm)
-    d = m.shape[-1]
-    T = np.einsum("...i,...j->...ij", dLdm, m)
-    T[..., range(d), range(d)] += scalar[..., None]
+    scalar = L - np.einsum("...k,...k->...", m, dLdm)  # a plain sum rounds otherwise
+    T = dLdm[..., :, None] * m[..., None, :]
+    for i in range(m.shape[-1]):
+        T[..., i, i] += scalar
     return TensorValue(T)
 
 
@@ -186,6 +186,13 @@ def assemble_gas(model, state):
     return TensorValue(T), TensorValue(Tp)
 
 
+def _allclose(a, b):
+    # np.allclose(a, b, rtol=1e-10, atol=1e-10): its test, not its overhead
+    with np.errstate(invalid="ignore"):
+        close = np.abs(a - b) <= 1e-10 + 1e-10 * np.abs(b)
+    return bool((close & np.isfinite(b) | (a == b)).all())
+
+
 def assemble_relativistic(model, state):
     """Relativistic tensor and the corrected T' = -Lam^{-1} T.
 
@@ -195,19 +202,26 @@ def assemble_relativistic(model, state):
     """
     _require_family(model, state, RelativisticModel)
     m, s = state.m, state.s
-    Lam_inv = model.Lam_inv
     rho = float(model.rho_of(m))
     u = m / rho
     L = float(model.profile(rho, s))
     Lrho = float(model.profile_rho(rho, s))
     T = -rho * Lrho * (model.Lam @ np.outer(u, u)) + (L - rho * Lrho) * np.eye(4)
-    Tp_a = rho * Lrho * np.outer(u, u) + (rho * Lrho - L) * Lam_inv
+    Tp_a = rho * Lrho * np.outer(u, u) + (rho * Lrho - L) * model.Lam_inv
     e = L / model.c ** 2
     p = rho * Lrho - L
-    Tp_b = (e * model.c ** 2 + p) * np.outer(u, u) + p * Lam_inv
-    if not np.allclose(Tp_a, Tp_b, rtol=1e-10, atol=1e-10):
+    Tp_b = (e * model.c ** 2 + p) * np.outer(u, u) + p * model.Lam_inv
+    if not _allclose(Tp_a, Tp_b):
         raise AssertionError("the two closed forms of T' disagree")
     return TensorValue(T), TensorValue(Tp_a)
+
+
+def _cross(a, b, out):
+    # np.cross over the last axes into out: its arithmetic, not its overhead
+    (a0, a1, a2), (b0, b1, b2) = _slots_first(a), _slots_first(b)
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
 
 
 def assemble_maxwell(model, state):
@@ -223,11 +237,10 @@ def assemble_maxwell(model, state):
     L = float(model.evaluate(em_to_coeffs(E, B), s))
     T = np.zeros((4, 4))
     T[0, 0] = L - E @ D
-    T[0, 1:] = np.cross(H, E)
-    T[1:, 0] = np.cross(D, B)
+    _cross(H, E, T[..., 0, 1:])
+    _cross(D, B, T[..., 1:, 0])
     T[1:, 1:] = (L + B @ H) * np.eye(3) - np.outer(E, D) - np.outer(H, B)
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    return TensorValue(T), TensorValue(eta @ T)
+    return TensorValue(T), TensorValue(np.diag([-1.0, 1.0, 1.0, 1.0]) @ T)
 
 
 def symmetry_defect(T, S=None):

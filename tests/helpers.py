@@ -17,6 +17,17 @@ from divfree.manufactured import closed_trig_form, study_model
 from divfree.tensors import general_tensor_array, symmetry_defect
 
 
+def energy_density(model, rho, s=0.0):
+    """e = L / c^2 of a relativistic model at density rho."""
+    return model.profile(np.asarray(rho, dtype=float), s) / (model.c * model.c)
+
+
+def ultrarelativistic(model):
+    """Whether a relativistic model's power-law exponent is the
+    ultra-relativistic 4/3."""
+    return abs(model.params.get("kappa", 0.0) - 4.0 / 3.0) < 1e-12
+
+
 def sampled_states(model, n, seed):
     """Admissible (A, s) batch drawn through the model's own sampler."""
     return model.sample_states(np.random.default_rng(seed), n)

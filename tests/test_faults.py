@@ -4,29 +4,36 @@ Each test plants one fault with monkeypatch and asserts that the gate aimed
 at it passes on the real code and fails on the faulty one, so a gate that
 stopped looking would show here.
 """
+import inspect
+import textwrap
+
 import numpy as np
 
 import divfree.conventions
 import divfree.fields
 import divfree.invariance
+import divfree.manufactured
 import divfree.models
 import divfree.tensors
 from divfree import (ad_gradient, assemble, build_model, case_refinement, euclidean_metric,
-                     finite_difference_gradient, lightlike_normal_search)
+                     finite_difference_gradient, invariance_symmetry_check,
+                     lightlike_normal_search, minkowski_metric, variation_study)
 from divfree import dualnum
 from divfree.fields import rankine_hugoniot
 from divfree.manufactured import run_case
 from divfree.models import RelativisticState, typed_state
 from divfree.tensors import general_tensor_array
 
-from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, limit_jump_states, rel_gap,
-                     sampled_states, trace_identity_gap)
+from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, limit_jump_states,
+                     normal_search_reference, rel_gap, sampled_states, trace_identity_gap)
 
 # criterion 01 gates the block forms, criterion 04 the wave rows' orders,
-# criterion 06 the difference gradient, criterion 08 the search residual and
-# the density jump, criterion 09 the advected-entropy order and the shear
-# floor; the Euler-Lagrange identity gates its gap's order and |Div T|
+# criterion 05 the variation orders, criterion 06 the difference gradient,
+# criterion 08 the search residual and the density jump, criterion 09 the
+# advected-entropy order and the shear floor; the Euler-Lagrange identity
+# gates its gap's order and |Div T|
 BLOCK_TOL = 1e-12
+VARIATION_ORDER = 1.9
 WAVE_ORDER = 1.9
 DIFFERENCE_TOL = 1e-6
 SEARCH_TOL = 1e-10
@@ -38,6 +45,19 @@ IDENTITY_DIV_T = 0.1
 
 # criterion 08's left state
 M_LEFT = np.array([2.0, 0.3, -0.1, 0.2])
+
+
+def rewritten(fn, old, new):
+    """The code of fn with its one occurrence of ``old`` replaced by
+    ``new``, compiled against fn's globals at fn's own line numbers; planted
+    as ``fn.__code__`` so that every reference to fn runs the fault."""
+    lines, first = inspect.getsourcelines(fn)
+    source = textwrap.dedent("".join(lines))
+    assert source.count(old) == 1, f"{old!r} is not one line of {fn.__name__}"
+    scope = {}
+    exec(compile("\n" * (first - 1) + source.replace(old, new),
+                 inspect.getsourcefile(fn), "exec"), fn.__globals__, scope)
+    return scope[fn.__name__].__code__
 
 
 def block_gap(model, A, s, states):
@@ -95,6 +115,69 @@ def test_negated_magnetic_slot_breaks_the_maxwell_block_form(monkeypatch):
     assert block_gap(*case) > BLOCK_TOL
 
 
+def test_swapped_cross_product_breaks_the_maxwell_block_form(monkeypatch):
+    # B x D in place of D x B flips the sign of the tensor's first column
+    case = seeded("maxwell-lorentz")
+    assert block_gap(*case) <= BLOCK_TOL
+    fn = divfree.tensors.assemble_maxwell
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "_cross(D, B, T[..., 1:, 0])", "_cross(B, D, T[..., 1:, 0])"))
+    assert block_gap(*case) > BLOCK_TOL
+
+
+def variation_orders_hold(d, p):
+    """Criterion 05's gate on one (d, p) and seed at three levels: errors
+    that fall, at orders of at least 1.9."""
+    n0 = {2: 16, 3: 12}[d]
+    errors = [lv["error"] for lv in variation_study(d, p, seed=0, levels=3, n0=n0)["levels"]]
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    return all(np.diff(errors) < 0) and orders.min() >= VARIATION_ORDER
+
+
+def test_scaled_bump_jacobian_breaks_the_variation_orders(monkeypatch):
+    # the flow reads the Jacobian and the pairing the sampled values, so a
+    # 0.1 % Jacobian error is a gap that does not refine
+    assert variation_orders_hold(2, 1)
+    real = divfree.manufactured.bump_variation
+
+    def scaled(*args, **kwargs):
+        var = real(*args, **kwargs)
+
+        def func_jac(Y, exact=var.func_jac):
+            v, J = exact(Y)
+            return v, 1.001 * J
+
+        var.func_jac = func_jac
+        return var
+
+    monkeypatch.setattr(divfree.manufactured, "bump_variation", scaled)
+    assert not variation_orders_hold(2, 1)
+
+
+def test_dropped_jacobian_term_breaks_the_variation_orders(monkeypatch):
+    # J @ G without its last j term: the flowed Jacobian G drifts from the
+    # map's, and its error does not refine
+    assert variation_orders_hold(2, 1)
+    fn = divfree.fields._flow_with_jacobian
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "for j in range(1, d):", "for j in range(1, d - 1):"))
+    assert not variation_orders_hold(2, 1)
+
+
+def test_min_for_max_breaks_the_invariance_verdict(monkeypatch):
+    # |E|^2 keeps the three rotations and breaks the three boosts: the
+    # least generator defect is 0, so min reads the model as invariant
+    def verdict():
+        report = invariance_symmetry_check(build_model("maxwell-anisotropic"), minkowski_metric())
+        return report["verdict"], report["agreement"]
+
+    assert verdict() == ("broken-asymmetric", True)
+    fn = divfree.invariance.invariance_symmetry_check
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "inv = float(np.max(", "inv = float(np.min("))
+    assert verdict() != ("broken-asymmetric", True)
+
+
 def test_flipped_cos_chain_rule_breaks_the_difference_check(monkeypatch):
     A = np.random.default_rng(9).uniform(-1.0, 1.0, (20, 2))
 
@@ -123,6 +206,25 @@ def test_stale_left_state_breaks_the_lightlike_search(monkeypatch):
 
     monkeypatch.setattr(divfree.fields, "_family_residual", faulty)
     assert lightlike_normal_search(model, M_LEFT)["residual"] > SEARCH_TOL
+
+
+def test_second_step_on_the_wrong_outcome_breaks_the_search_bits(monkeypatch):
+    # a call scores both angles the second step could need; advancing on
+    # the other outcome walks another path, away from the reference's bits
+    model = build_model("relativistic-limit")
+
+    def same_bits():
+        found = lightlike_normal_search(model, M_LEFT)
+        theta, residual, nu, _ = normal_search_reference(model, M_LEFT)
+        return (found["theta"] == theta and found["residual"] == residual
+                and found["nu"].tobytes() == nu.tobytes())
+
+    assert same_bits()
+    fn = divfree.fields.lightlike_normal_search
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "lower if scored[x1] <= scored[x2] else upper",
+        "upper if scored[x1] <= scored[x2] else lower"))
+    assert not same_bits()
 
 
 def test_right_density_read_twice_hides_the_density_jump(monkeypatch):

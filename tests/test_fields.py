@@ -665,26 +665,44 @@ def test_normal_search_is_the_unmemoised_loop_bit_for_bit(name):
 
 def test_normal_search_scores_each_angle_once_on_one_left_state(monkeypatch):
     lim = build_model("relativistic-limit")
-    objective, tensor = _family_residual, general_tensor_array
-    counts = {}
+    references = [normal_search_reference(lim, np.array(m))[3] for m in SEARCH_LEFT_STATES]
+    objective, tensor, cos = _family_residual, general_tensor_array, math.cos
+    angles, calls, tensor_calls = [], [], []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
+    # angles one ulp apart can give the same normal, so the angles of a call
+    # are read off the cosines taken since the last call: one per normal
+    def recorded_cos(theta):
+        angles.append(theta)
+        return cos(theta)
 
-    monkeypatch.setattr("divfree.fields._family_residual", counted("objective", objective))
-    monkeypatch.setattr("divfree.fields.general_tensor_array", counted("tensor", tensor))
+    def counted(model, nu, *rest):
+        calls.append(angles[len(angles) - len(np.atleast_2d(nu)):])
+        angles.clear()
+        return objective(model, nu, *rest)
+
+    def counted_tensor(*args):
+        tensor_calls.append(None)
+        return tensor(*args)
+
+    monkeypatch.setattr(math, "cos", recorded_cos)
+    monkeypatch.setattr("divfree.fields._family_residual", counted)
+    monkeypatch.setattr("divfree.fields.general_tensor_array", counted_tensor)
     repeats = 0
-    for m_left in map(np.array, SEARCH_LEFT_STATES):
-        counts.update(objective=0, tensor=0)
+    for m_left, refined in zip(map(np.array, SEARCH_LEFT_STATES), references):
+        calls.clear()
+        tensor_calls.clear()
         lightlike_normal_search(lim, m_left)
-        refined = normal_search_reference(lim, m_left)[3]
-        # the coarse batch, then each distinct refine angle once; one tensor
-        # call per objective call for the candidates, one for the left state
-        assert counts["objective"] == 1 + len(set(refined))
-        assert counts["tensor"] == counts["objective"] + 1
+        # every refine angle of the reference and no angle twice, counting
+        # the coarse batch; after it, at most three angles per call and
+        # about two golden-section steps per call
+        scored = [theta for call in calls for theta in call]
+        assert set(refined) <= set(scored)
+        assert len(scored) == len(set(scored))
+        assert all(1 <= len(call) <= 3 for call in calls[1:])
+        assert len(calls) - 1 <= len(set(refined)) / 2 + 2
+        # one tensor call per objective call for the candidates, one for the
+        # left state
+        assert len(tensor_calls) == len(calls) + 1
         repeats += len(refined) - len(set(refined))
     # the golden section does revisit angles, so the memo is exercised
     assert repeats > 0

@@ -1,4 +1,6 @@
 """Tensor assembly: hand-checked blocks and agreement of the independent routes."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,10 @@ from divfree.fields import tensor_grid
 from divfree.manufactured import closed_trig_form, study_model
 from divfree.models import (EMState, GasState, LagrangianModel, RelativisticState,
                             list_models, typed_state)
-from divfree.tensors import TensorValue, _assembly_table, general_tensor_array, symmetry_defect
+from divfree.tensors import (TensorValue, _allclose, _assembly_table, _cross, general_tensor_array,
+                             symmetry_defect)
 
-from helpers import rel_gap, same_bits, sampled_states
+from helpers import energy_density, rel_gap, same_bits, sampled_states
 
 GAS_WITNESS = GasState(rho=1.0, q=[1.0])
 EM_WITNESS = EMState(E=[1.0, 0.0, 0.0], B=[0.0, 1.0, 0.0])
@@ -116,7 +119,7 @@ def test_corrected_trace_tracks_the_exponent(kappa):
     st = RelativisticState(m=[2.0, 0.3, -0.1, 0.2])
     _, Tp = assemble_relativistic(mdl, st)
     rho = mdl.rho_of(st.m)
-    e = mdl.energy_density(rho, 0.0)
+    e = energy_density(mdl, rho, 0.0)
     tr = np.trace(Tp.entries @ mdl.Lam)
     assert abs(tr - (3.0 * kappa - 4.0) * e * mdl.c ** 2) < 1e-12 * max(1.0, abs(tr))
 
@@ -269,6 +272,27 @@ def test_tensor_value_validation():
         TensorValue(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     tv = TensorValue(np.eye(3))
     assert tv.d == 3
+
+
+def test_cross_is_np_cross_bit_for_bit():
+    # one pair, a batch of pairs, and signed zeros
+    a, b = np.random.default_rng(5).standard_normal((2, 6, 3))
+    a[0], b[0] = [0.0, -0.0, 1.0], [-0.0, 2.0, 0.0]
+    for x, y in ((a, b), (a[2], b[2]), (a[0], b[0])):
+        out = np.empty(x.shape)
+        _cross(x, y, out)
+        assert same_bits(out, np.cross(x, y))
+
+
+def test_relativistic_consistency_gate_is_np_allclose():
+    # assemble_relativistic raises exactly where np.allclose(rtol=1e-10,
+    # atol=1e-10) of the two forms of T' is false, non-finite entries included
+    values = (0.0, -0.0, 1.0, 1.0 + 5e-11, 1.0 + 3e-10, -1.0, 5e-11, 2e-10, 1e300,
+              np.inf, -np.inf, np.nan)
+    for x, y in itertools.product(values, repeat=2):
+        a, b = np.ones((4, 4)), np.ones((4, 4))
+        a[1, 2], b[1, 2] = x, y
+        assert _allclose(a, b) is np.allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
 def test_symmetry_defect_applies_the_metric():
