@@ -125,10 +125,10 @@ _EM_B_SIGNS = (1.0, -1.0, 1.0)
 def em_to_coeffs(E, B):
     E = np.asarray(E, dtype=float)
     B = np.asarray(B, dtype=float)
-    out = np.zeros(np.broadcast(E, B).shape[:-1] + (6,))
+    out = np.empty(np.broadcast(E, B).shape[:-1] + (6,))
     for j in range(3):
-        out[..., _EM_E_SLOTS[j]] = -E[..., j]
-        out[..., _EM_B_SLOTS[j]] = _EM_B_SIGNS[j] * B[..., j]
+        np.negative(E[..., j], out=out[..., _EM_E_SLOTS[j]])
+        np.multiply(_EM_B_SIGNS[j], B[..., j], out=out[..., _EM_B_SLOTS[j]])
     return out
 
 

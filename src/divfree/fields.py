@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .exterior import (
     pullback_coeffs,
 )
 from .models import RelativisticModel
-from .tensors import general_tensor_array
+from .tensors import _cross, general_tensor_array
 
 
 class FlowLeftGridError(ValueError):
@@ -144,8 +144,14 @@ def save_grid(grid, path):
 def load_grid(path):
     path = Path(path)
     manifest = json.loads(path.read_text())
-    d, p = manifest["d"], manifest["p"]
-    dims = tuple(manifest["dims"])
+    m = manifest if isinstance(manifest, dict) else {}
+    d, p, dims = m.get("d"), m.get("p"), m.get("dims")
+    if not (isinstance(dims, list) and len(dims) == d and isinstance(m.get("data"), str) and all(
+            isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in [d, p, *dims])):
+        raise ValueError(f"{path.name} is not a JSON object with int d and p, dims a list of "
+                         f"d ints >= 0 and data a file name")
+    dims = tuple(dims)
+    origin, spacing = (tuple(_finite_vector(k, m.get(k), d)) for k in ("origin", "spacing"))
     order, given = list(form_basis(d, p).names), manifest.get("component_order")
     if given != order:
         raise ValueError(f"component_order {given} is not the canonical order "
@@ -157,14 +163,13 @@ def load_grid(path):
     C = len(order)
     n_comp = C + (1 if manifest["has_entropy"] else 0)
     raw = np.frombuffer(data.read_bytes(), dtype="<f8")
-    expected = int(np.prod(dims)) * n_comp
+    expected = math.prod(dims) * n_comp
     if raw.size != expected:
         raise ValueError(f"data file holds {raw.size} floats, expected {expected}")
-    table = raw.reshape(int(np.prod(dims)), n_comp)
+    table = raw.reshape(math.prod(dims), n_comp)
     values = table[:, :C].reshape(dims + (C,))
     entropy = table[:, C].reshape(dims) if manifest["has_entropy"] else None
-    return GridField(d, p, dims, tuple(manifest["spacing"]),
-                     tuple(manifest["origin"]), values, entropy)
+    return GridField(d, p, dims, spacing, origin, values, entropy)
 
 
 def load_grid_csv(path, d, p, spacing):
@@ -223,6 +228,22 @@ def _require_interior(grid):
         raise ValueError("need at least 3 nodes per axis for interior differences")
 
 
+_SLAB_BYTES = 32 << 20
+
+
+def _slabs(grid):
+    """(a, sub-grid) pairs: nodes a .. a + w + 1 of axis 0, w >= 1 interior planes with a
+    one-node halo, as many as fit _SLAB_BYTES of T (one slab for a 1024^2 gas grid, 8 planes
+    for a 32^4 wave).  Interiors tile the grid's; slabs combine by np.maximum / np.minimum."""
+    _require_interior(grid)
+    n0, width = grid.dims[0], max(1, _SLAB_BYTES // (8 * grid.d ** 2 * math.prod(grid.dims[1:])))
+    for a in range(0, n0 - 2, width):
+        rows = slice(a, min(a + width, n0 - 2) + 2)
+        yield a, replace(grid, dims=(rows.stop - a,) + grid.dims[1:], values=grid.values[rows],
+                         origin=(grid.origin[0] + a * grid.spacing[0],) + grid.origin[1:],
+                         entropy=None if grid.entropy is None else grid.entropy[rows])
+
+
 # ---------------------------------------------------------------------------
 # residuals
 
@@ -233,17 +254,17 @@ def closedness_residual(grid):
 
     Each degree-(p+1) component is the alternating sum of axis derivatives of
     degree-p components; for momentum forms this is mass conservation, for
-    electromagnetic 2-forms the magnetic half of the field equations.
+    electromagnetic 2-forms the magnetic half of the field equations; taken over ``_slabs``.
     """
     if grid.p >= grid.d:
         return 0.0
-    _require_interior(grid)
     worst = 0.0
-    for _, terms in exterior_derivative_table(grid.d, grid.p):
-        acc = 0.0
-        for axis, slot, sign in terms:
-            acc = acc + sign * _cd(grid.values[..., slot], axis, grid.spacing[axis], grid.d)
-        worst = np.maximum(worst, np.abs(acc).max())
+    for _, sub in _slabs(grid):
+        for _, terms in exterior_derivative_table(sub.d, sub.p):
+            acc = 0.0
+            for axis, slot, sign in terms:
+                acc = acc + sign * _cd(sub.values[..., slot], axis, sub.spacing[axis], sub.d)
+            worst = np.maximum(worst, np.abs(acc).max())
     return float(worst)
 
 
@@ -277,11 +298,12 @@ def div_rows(T_field, spacing, d):
 
 
 def div_T_residual(model, grid):
-    """Per-row max-norm of Div T on interior nodes."""
-    _require_interior(grid)
-    T = tensor_grid(model, grid)
-    rows = div_rows(T, grid.spacing, grid.d)
-    return np.abs(rows).max(axis=tuple(range(grid.d)))
+    """Per-row max-norm of Div T on interior nodes, with T built per ``_slabs`` slab."""
+    worst = np.zeros(grid.d)
+    for _, sub in _slabs(grid):
+        rows = div_rows(tensor_grid(model, sub), sub.spacing, sub.d)
+        worst = np.maximum(worst, np.abs(rows).max(axis=tuple(range(sub.d))))
+    return worst
 
 
 def euler_lagrange_rows(model, grid):
@@ -310,16 +332,19 @@ def poynting_residual(model, grid):
     """Interior-node field of d/dt W + div(E x H) for an electromagnetic
     grid.  Row 0 of Div T is its negation up to rounding: the same stencils
     act on the same products summed in another order.  The two agree bitwise
-    on waves with E_z = 0, such as the catalog plane wave."""
-    _require_interior(grid)
-    E, B = coeffs_to_em(grid.values)
-    s = grid.entropy if grid.entropy is not None else 0.0
-    D, H, W = model.fields(E, B, s)
-    ExH = np.cross(E, H)
-    acc = _cd(W, 0, grid.spacing[0], grid.d)
-    for k in range(3):
-        acc = acc + _cd(ExH[..., k], 1 + k, grid.spacing[1 + k], grid.d)
-    return acc
+    on waves with E_z = 0, such as the catalog plane wave.  Each of
+    ``_slabs`` writes its planes of the result, E x H in np.cross's arithmetic."""
+    out = np.empty(tuple(max(n - 2, 0) for n in grid.dims))
+    for start, sub in _slabs(grid):
+        E, B = coeffs_to_em(sub.values)
+        D, H, W = model.fields(E, B, sub.entropy if sub.entropy is not None else 0.0)
+        ExH = np.empty_like(E)
+        _cross(E, H, ExH)
+        acc = out[start:start + sub.dims[0] - 2]
+        acc[...] = _cd(W, 0, sub.spacing[0], sub.d)
+        for k in range(3):
+            np.add(acc, _cd(ExH[..., k], 1 + k, sub.spacing[1 + k], sub.d), out=acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +508,20 @@ def divergence_pairing(model, grid, var):
 def entropy_transport_residual(model, grid):
     """Max-norm of m . grad s on interior nodes, with the nondegeneracy
     factor d/ds (L - m . dL/dm) reported alongside (no classification is
-    attached to the factor; the caller sees its range)."""
+    attached to the factor; the caller sees its range), taken over ``_slabs``."""
     if grid.entropy is None:
         raise ValueError("entropy transport needs an entropy channel")
-    _require_interior(grid)
-    m = coeffs_to_momentum(grid.values)
-    acc = 0.0
-    for a in range(grid.d):
-        acc = acc + _interior(m[..., a], grid.d) * _cd(grid.entropy, a, grid.spacing[a], grid.d)
-    rho = _interior(m[..., 0], grid.d)
-    s = _interior(grid.entropy, grid.d)
-    factor = model.pressure_entropy_derivative(rho, s)
-    return {
-        "residual": float(np.abs(acc).max()),
-        "factor_min": float(np.min(factor)),
-        "factor_max": float(np.max(factor)),
-    }
+    worst, lo, hi = 0.0, np.inf, -np.inf
+    for _, sub in _slabs(grid):
+        d, m = sub.d, coeffs_to_momentum(sub.values)
+        acc = 0.0
+        for a in range(d):
+            acc = acc + _interior(m[..., a], d) * _cd(sub.entropy, a, sub.spacing[a], d)
+        factor = model.pressure_entropy_derivative(_interior(m[..., 0], d),
+                                                   _interior(sub.entropy, d))
+        worst = np.maximum(worst, np.abs(acc).max())
+        lo, hi = np.minimum(lo, np.min(factor)), np.maximum(hi, np.max(factor))
+    return {"residual": float(worst), "factor_min": float(lo), "factor_max": float(hi)}
 
 
 # ---------------------------------------------------------------------------

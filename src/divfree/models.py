@@ -442,6 +442,7 @@ class MaxwellModel(LagrangianModel):
     state_type = EMState
 
     def __init__(self, lag_eb, material, name="maxwell", params=None):
+        self.lag_eb = lag_eb
         self.material = material
         super().__init__(name, 4, 2, lambda comps, s: lag_eb(*em_components(comps), s),
                          grad_fn=self._material_gradient,
@@ -453,11 +454,11 @@ class MaxwellModel(LagrangianModel):
         return em_to_coeffs(D, -H)
 
     def fields(self, E, B, s=0.0):
-        """Material response (D, H) and energy density W = E . D - L."""
+        """Material response (D, H) and W = E . D - L, with L from lag_eb on E and B."""
         E = np.asarray(E, dtype=float)
         B = np.asarray(B, dtype=float)
         D, H = self.material(E, B, s)
-        L = self.evaluate(em_to_coeffs(E, B), s)
+        L = self.lag_eb([E[..., j] for j in range(3)], [B[..., j] for j in range(3)], s)
         W = np.einsum("...k,...k->...", E, D) - L
         return np.asarray(D, float), np.asarray(H, float), W
 

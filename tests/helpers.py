@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 
 import divfree
-from divfree.conventions import momentum_to_coeffs
-from divfree.exterior import form_basis
-from divfree.fields import (_LAM_GRID, _REFINE_ITERS, _interior, div_rows, euler_lagrange_rows,
-                            tensor_grid)
+from divfree.conventions import coeffs_to_em, coeffs_to_momentum, em_to_coeffs, momentum_to_coeffs
+from divfree.exterior import exterior_derivative_table, form_basis
+from divfree.fields import (_LAM_GRID, _REFINE_ITERS, _cd, _interior, _require_interior,
+                            closedness_residual, div_rows, div_T_residual,
+                            entropy_transport_residual, euler_lagrange_rows,
+                            poynting_residual, tensor_grid)
 from divfree.invariance import generator_defects
 from divfree.manufactured import closed_trig_form, study_model
+from divfree.models import MaxwellModel
 from divfree.tensors import general_tensor_array, symmetry_defect
 
 
@@ -162,6 +165,93 @@ def normal_search_reference(model, m_left, rho_jump_min=0.05, coarse=121):
         theta = x1 if f1 <= f2 else x2
         residual = min(f1, f2)
     return float(theta), float(residual), nu_of(theta), refined
+
+
+# whole-grid references for the slabbed residuals of divfree.fields: each
+# computes every interior node in one pass, with the arithmetic the slabs
+# repeat per slab
+
+
+def closedness_residual_whole(grid):
+    if grid.p >= grid.d:
+        return 0.0
+    _require_interior(grid)
+    worst = 0.0
+    for _, terms in exterior_derivative_table(grid.d, grid.p):
+        acc = 0.0
+        for axis, slot, sign in terms:
+            acc = acc + sign * _cd(grid.values[..., slot], axis, grid.spacing[axis], grid.d)
+        worst = np.maximum(worst, np.abs(acc).max())
+    return float(worst)
+
+
+def div_T_residual_whole(model, grid):
+    _require_interior(grid)
+    T = tensor_grid(model, grid)
+    rows = div_rows(T, grid.spacing, grid.d)
+    return np.abs(rows).max(axis=tuple(range(grid.d)))
+
+
+def entropy_transport_residual_whole(model, grid):
+    _require_interior(grid)
+    m = coeffs_to_momentum(grid.values)
+    acc = 0.0
+    for a in range(grid.d):
+        acc = acc + _interior(m[..., a], grid.d) * _cd(grid.entropy, a, grid.spacing[a], grid.d)
+    rho = _interior(m[..., 0], grid.d)
+    s = _interior(grid.entropy, grid.d)
+    factor = model.pressure_entropy_derivative(rho, s)
+    return {
+        "residual": float(np.abs(acc).max()),
+        "factor_min": float(np.min(factor)),
+        "factor_max": float(np.max(factor)),
+    }
+
+
+def poynting_residual_whole(model, grid):
+    """Also the Maxwell round trip that MaxwellModel.fields skips: L from
+    ``evaluate`` on the coefficients, and E x H from np.cross."""
+    _require_interior(grid)
+    E, B = coeffs_to_em(grid.values)
+    s = grid.entropy if grid.entropy is not None else 0.0
+    D, H = model.material(E, B, s)
+    W = np.einsum("...k,...k->...", E, D) - model.evaluate(em_to_coeffs(E, B), s)
+    ExH = np.cross(E, H)
+    acc = _cd(W, 0, grid.spacing[0], grid.d)
+    for k in range(3):
+        acc = acc + _cd(ExH[..., k], 1 + k, grid.spacing[1 + k], grid.d)
+    return acc
+
+
+def slab_budget(grid, width):
+    """The fields._SLAB_BYTES at which the grid's slabs are ``width`` planes."""
+    return width * 8 * grid.d ** 2 * math.prod(grid.dims[1:])
+
+
+def random_slab_grids(wave_dims, gas_dims, seed=3):
+    """(model, grid) pairs of unit-free random samples for the slab checks:
+    a maxwell-lorentz wave grid and a gas grid with entropy."""
+    rng = np.random.default_rng(seed)
+    wave = divfree.GridField(4, 2, wave_dims, (0.25, 0.5, 0.2, 0.4), (0.0,) * 4,
+                             rng.standard_normal(wave_dims + (6,)))
+    rho, q = rng.uniform(0.5, 1.5, gas_dims), rng.standard_normal(gas_dims)
+    gas = divfree.GridField(2, 1, gas_dims, (0.1, 0.3), (0.0, 0.0), np.stack([-q, rho], axis=-1),
+                            0.3 * rng.standard_normal(gas_dims))
+    return [(divfree.build_model("maxwell-lorentz"), wave), (divfree.build_model("gas"), gas)]
+
+
+def slab_results(model, grid):
+    """name -> (slabbed result, whole-grid reference) as float arrays: Div T
+    rows and closedness always, the entropy transport dict on a grid with
+    entropy, the Poynting field under an electromagnetic model."""
+    pairs = {"div_T": (div_T_residual(model, grid), div_T_residual_whole(model, grid)),
+             "closedness": (closedness_residual(grid), closedness_residual_whole(grid))}
+    if grid.entropy is not None:
+        pairs["transport"] = tuple(list(f(model, grid).values()) for f in (
+            entropy_transport_residual, entropy_transport_residual_whole))
+    if isinstance(model, MaxwellModel):
+        pairs["poynting"] = (poynting_residual(model, grid), poynting_residual_whole(model, grid))
+    return {k: tuple(np.asarray(r, dtype=float) for r in v) for k, v in pairs.items()}
 
 
 def same_bits(a, b):

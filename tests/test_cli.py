@@ -220,6 +220,30 @@ def test_verify_field_passes_a_finite_grid(tmp_path, capsys, flags):
     assert report.get("div_residual", 0.0) == 0.0
 
 
+# each edit of a valid manifest that load_grid must reject before reading on
+MALFORMED_MANIFESTS = {
+    "string-d": lambda m: {**m, "d": "2"},
+    "float-dims": lambda m: {**m, "dims": [5.0, 5.0]},
+    "negative-dims": lambda m: {**m, "dims": [-5, -5]},
+    "numeric-data": lambda m: {**m, "data": 5},
+    "nan-origin": lambda m: {**m, "origin": [float("nan"), 0.0]},
+    "scalar-spacing": lambda m: {**m, "spacing": 0.2},
+    "top-level-list": lambda m: [m],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_malformed_grid_manifest_is_an_input_error(tmp_path, capsys, case):
+    from divfree import GridField, save_grid
+
+    g = GridField(2, 1, (5, 5), (0.2, 0.2), (0.0, 0.0), np.full((5, 5, 2), [-0.4, 1.3]))
+    path = save_grid(g, tmp_path / "grid.json")
+    path.write_text(json.dumps(MALFORMED_MANIFESTS[case](json.loads(path.read_text()))))
+    line = assert_one_error_line(capsys, ["verify", "--field", str(path), "--model", "gas"])
+    # the line names the manifest or its bad key, not a numpy internal
+    assert any(name in line for name in ("grid.json", "origin", "spacing"))
+
+
 def test_jump_search_mode(capsys):
     code, out = run_cli(capsys, ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]"])
     assert code == 0

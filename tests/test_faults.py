@@ -24,14 +24,15 @@ from divfree.manufactured import run_case
 from divfree.models import RelativisticState, typed_state
 from divfree.tensors import general_tensor_array
 
-from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, limit_jump_states,
-                     normal_search_reference, rel_gap, sampled_states, trace_identity_gap)
+from helpers import (IDENTITY_LADDERS, energy_density, euler_lagrange_identity,
+                     limit_jump_states, normal_search_reference, random_slab_grids, rel_gap,
+                     same_bits, sampled_states, slab_budget, slab_results, trace_identity_gap)
 
 # criterion 01 gates the block forms, criterion 04 the wave rows' orders,
 # criterion 05 the variation orders, criterion 06 the difference gradient,
-# criterion 08 the search residual and the density jump, criterion 09 the
-# advected-entropy order and the shear floor; the Euler-Lagrange identity
-# gates its gap's order and |Div T|
+# criterion 07 the power-law pressure, criterion 08 the search residual and
+# the density jump, criterion 09 the advected-entropy order and the shear
+# floor; the Euler-Lagrange identity gates its gap's order and |Div T|
 BLOCK_TOL = 1e-12
 VARIATION_ORDER = 1.9
 WAVE_ORDER = 1.9
@@ -40,6 +41,7 @@ SEARCH_TOL = 1e-10
 RHO_JUMP_MIN = 0.05
 ENTROPY_ORDER = 1.9
 SHEAR_FLOOR = 0.9
+PRESSURE_TOL = 1e-12
 IDENTITY_ORDER = 1.9
 IDENTITY_DIV_T = 0.1
 
@@ -265,19 +267,23 @@ def test_dropped_time_term_breaks_entropy_transport(monkeypatch):
     assert not gate()
 
 
-def test_dropped_axis_term_breaks_the_wave_divergence(monkeypatch):
-    def row_orders():
-        reports = case_refinement("maxwell-plane-wave", (8, 16, 32))["reports"]
-        rows = np.array([r["rows"] for r in reports])
+def wave_row_orders():
+    """Criterion 04's least row order on the plane-wave ladder; -inf when a
+    coarser level reads 0."""
+    reports = case_refinement("maxwell-plane-wave", (8, 16, 32))["reports"]
+    rows = np.array([r["rows"] for r in reports])
+    with np.errstate(divide="ignore"):
         return np.log2(rows[:-1] / rows[1:]).min()
 
-    assert row_orders() >= WAVE_ORDER
+
+def test_dropped_axis_term_breaks_the_wave_divergence(monkeypatch):
+    assert wave_row_orders() >= WAVE_ORDER
     # upper and lower neighbours coincide along the last axis, so div_rows
     # sums every row without its d_{d-1} T_{i,d-1} term
     real = divfree.fields._cd_neighbours
     monkeypatch.setattr(divfree.fields, "_cd_neighbours", lambda axis, nd: (
         (real(axis, nd)[0],) * 2 if axis == nd - 1 else real(axis, nd)))
-    assert row_orders() < WAVE_ORDER
+    assert wave_row_orders() < WAVE_ORDER
 
 
 def test_flipped_gather_sign_breaks_the_euler_lagrange_identity(monkeypatch):
@@ -297,3 +303,46 @@ def test_flipped_gather_sign_breaks_the_euler_lagrange_identity(monkeypatch):
 
     monkeypatch.setattr(divfree.fields, "exterior_derivative_table", flipped)
     assert not all(holds(d, p) for d, p in IDENTITY_LADDERS)
+
+
+def test_dropped_last_slab_breaks_the_slab_bits_and_the_wave_rows(monkeypatch):
+    def holds():
+        # three-plane slabs on a ragged grid (3, 3, 1), then the budget of
+        # the 8^4 level's six interior planes: one slab at 8^4, one plane
+        # per slab at 16^4 and 32^4
+        model, grid = random_slab_grids((9, 4, 3, 5), (3, 3))[0]
+        monkeypatch.setattr(divfree.fields, "_SLAB_BYTES", slab_budget(grid, 3))
+        bits = all(same_bits(*pair) for pair in slab_results(model, grid).values())
+        monkeypatch.setattr(divfree.fields, "_SLAB_BYTES", 6 * 8 * 4 ** 2 * 8 ** 3)
+        return bits, wave_row_orders() >= WAVE_ORDER
+
+    assert holds() == (True, True)
+    fn = divfree.fields._slabs
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "range(0, n0 - 2, width)", "range(0, n0 - 2 - width, width)"))
+    assert holds() == (False, False)
+
+
+def powerlaw_pressure_gap():
+    """Criterion 07's worst relative gap between the power-law pressure and
+    (kappa - 1) e c^2, over its three exponents and seeded states."""
+    worst = 0.0
+    for kappa in (1.1, 4.0 / 3.0, 1.9):
+        model = build_model("relativistic-powerlaw", {"kappa": kappa})
+        A, s = sampled_states(model, 40, seed=5)
+        for st in (typed_state(model, a, sk) for a, sk in zip(A, s)):
+            rho = model.rho_of(st.m)
+            want = (kappa - 1.0) * energy_density(model, rho, st.s) * model.c ** 2
+            worst = max(worst, abs(model.pressure(rho, st.s) - want) / max(1.0, abs(want)))
+    return worst
+
+
+def test_wrong_exponent_breaks_the_powerlaw_pressure(monkeypatch):
+    # the profile's exponent drifts from the kappa in params, so the
+    # pressure it derives is no longer (kappa - 1) e c^2
+    assert powerlaw_pressure_gap() <= PRESSURE_TOL
+    fn = divfree.models.model_relativistic_powerlaw
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "profile = lambda rho, s: rho ** kappa",
+        "profile = lambda rho, s: rho ** (kappa * 1.001)"))
+    assert powerlaw_pressure_gap() > PRESSURE_TOL

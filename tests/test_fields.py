@@ -23,6 +23,7 @@ from divfree.fields import (
     _cd,
     _family_residual,
     _interior,
+    _slabs,
     closedness_residual,
     div_T_residual,
     div_rows,
@@ -41,7 +42,8 @@ from divfree.models import GasState, RelativisticState
 from divfree.tensors import general_tensor_array
 
 from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, family_residual_loop,
-                     limit_jump_states, normal_search_reference, same_bits)
+                     limit_jump_states, normal_search_reference, random_slab_grids, same_bits,
+                     slab_budget, slab_results)
 
 
 def _gas_momentum_grid(n):
@@ -267,6 +269,45 @@ def test_div_rows_are_the_per_term_sums_bit_for_bit(d, p, dims):
     assert np.isnan(rows[..., 1]).any() and not np.isnan(rows[..., 0]).any()
     grid.values[(1,) * d + (0,)] = np.nan
     assert np.isnan(div_T_residual(model, grid)).all()
+
+
+# wave dims, gas dims, slab width in planes (None: the fixed budget) and the
+# plane of a NaN cell as a function of (n0, width), or None
+SLAB_CASES = {
+    # interiors of 7 and 10 planes: slabs of 3, 3, 1 and 3, 3, 3, 1
+    "ragged": ((9, 4, 3, 5), (12, 7), 3, None),
+    "smallest": ((3, 3, 3, 3), (3, 3), 1, None),
+    "single": ((10, 4, 5, 3), (40, 33), None, None),
+    # plane 0 is read only as the first slab's lower halo
+    "nan-edge-halo": ((9, 4, 3, 5), (12, 7), 3, lambda n0, w: 0),
+    # plane w + 1 is the first slab's upper halo and the second slab's first plane
+    "nan-shared-halo": ((9, 4, 3, 5), (12, 7), 3, lambda n0, w: w + 1),
+    "nan-last-slab": ((9, 4, 3, 5), (12, 7), 3, lambda n0, w: n0 - 2),
+}
+
+
+@pytest.mark.parametrize("case", SLAB_CASES)
+def test_slabbed_residuals_are_the_whole_grid_bits(monkeypatch, case):
+    wave_dims, gas_dims, width, nan_plane = SLAB_CASES[case]
+    for model, grid in random_slab_grids(wave_dims, gas_dims):
+        n0 = grid.dims[0]
+        if width is None:
+            assert len(list(_slabs(grid))) == 1
+        else:
+            monkeypatch.setattr("divfree.fields._SLAB_BYTES", slab_budget(grid, width))
+            assert len(list(_slabs(grid))) == -(-(n0 - 2) // width)
+        if nan_plane is not None:
+            # a cell interior to every other axis, so an axis-0 stencil reads it
+            cell = (nan_plane(n0, width),) + (1,) * (grid.d - 1)
+            grid.values[cell] = np.nan
+            if grid.entropy is not None:
+                grid.entropy[cell] = np.nan
+        results = slab_results(model, grid)
+        assert set(results) == ({"div_T", "closedness", "poynting"} if grid.d == 4
+                                else {"div_T", "closedness", "transport"})
+        for name, (slabbed, whole) in results.items():
+            assert same_bits(slabbed, whole), name
+            assert np.isnan(slabbed).any() == (nan_plane is not None), name
 
 
 def test_top_degree_forms_close_vacuously():
