@@ -42,11 +42,11 @@ the Poynting residual d/dt W + div(E x H) up to rounding: the assembly sums
 the products in another order than the cross product does.  The two agree
 bitwise on waves with E_z = 0, such as the catalog plane wave.
 
-Euler-Lagrange residual.  With g = dL/dA the coefficient-space gradient,
-(div G)_K = sum_j d/dy_j G_{jK}, where G_{jK} reads g through the
-permutation sign of jK exactly as the tensor does.  For a closed form at
-constant s, (Div T)_i = - sum_K A_{iK} (div G)_K; for p = d - 1 the
-residual is the spacetime curl of dL/dm.
+Euler-Lagrange residual.  With g = dL/dA, (div G)_K = sum_j d/dy_j G_{jK}
+for G_{jK} = g read through the permutation sign of jK as the tensor reads
+it: row K is the degree p - 1 exterior derivative table read transposed.  For
+a closed form at constant s, (Div T)_i = - sum_K A_{iK} (div G)_K; div G is
+the curl of dL/dm for p = d - 1 and (div D, curl H - d/dt D) for Maxwell 2-forms.
 
 Pullback direction.  Coefficients transform by B_J = sum_I A_I minor(M, I, J),
 giving (M1 @ M2)^* = M2^* o M1^*; the infinitesimal action is its exact

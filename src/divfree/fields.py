@@ -160,15 +160,17 @@ def load_grid(path):
     if not data.is_relative_to(path.parent.resolve()):
         raise ValueError(f"data file {manifest['data']!r} lies outside the "
                          f"manifest's directory")
+    if not isinstance(has_entropy := m.get("has_entropy"), bool):
+        raise ValueError(f"has_entropy in {path.name} must be true or false")
     C = len(order)
-    n_comp = C + (1 if manifest["has_entropy"] else 0)
+    n_comp = C + (1 if has_entropy else 0)
     raw = np.frombuffer(data.read_bytes(), dtype="<f8")
     expected = math.prod(dims) * n_comp
     if raw.size != expected:
         raise ValueError(f"data file holds {raw.size} floats, expected {expected}")
     table = raw.reshape(math.prod(dims), n_comp)
     values = table[:, :C].reshape(dims + (C,))
-    entropy = table[:, C].reshape(dims) if manifest["has_entropy"] else None
+    entropy = table[:, C].reshape(dims) if has_entropy else None
     return GridField(d, p, dims, spacing, origin, values, entropy)
 
 
@@ -223,6 +225,23 @@ def _cd(arr, axis, h, ndim_grid):
     return (arr[hi] - arr[lo]) / (2.0 * h)
 
 
+def _divergence(fields, table, spacing, d):
+    """Interior-node rows sum sign d/dy_axis fields[c] over each row of ``table``'s (axis,
+    c, sign) terms, for grid-shaped fields[c], as a component-major (rows, ...) array.
+    A row sums its central differences onto 0.0 in table order, the arithmetic of
+    ``0.0 + sign * _cd(..) + ..``, with every difference taken into one scratch array."""
+    inner = tuple(max(n - 2, 0) for n in fields[0].shape[:d])
+    out = np.zeros((len(table),) + inner)
+    term = np.empty(inner)
+    for row, terms in zip(out, table):
+        for axis, c, sign in terms:
+            hi, lo = _cd_neighbours(axis, d)
+            np.subtract(fields[c][hi], fields[c][lo], out=term)
+            np.divide(term, 2.0 * spacing[axis], out=term)
+            (np.add if sign > 0 else np.subtract)(row, term, out=row)
+    return out
+
+
 def _require_interior(grid):
     if any(n < 3 for n in grid.dims):
         raise ValueError("need at least 3 nodes per axis for interior differences")
@@ -260,11 +279,9 @@ def closedness_residual(grid):
         return 0.0
     worst = 0.0
     for _, sub in _slabs(grid):
-        for _, terms in exterior_derivative_table(sub.d, sub.p):
-            acc = 0.0
-            for axis, slot, sign in terms:
-                acc = acc + sign * _cd(sub.values[..., slot], axis, sub.spacing[axis], sub.d)
-            worst = np.maximum(worst, np.abs(acc).max())
+        rows = _divergence(np.moveaxis(sub.values, -1, 0), [terms for _, terms in
+                           exterior_derivative_table(sub.d, sub.p)], sub.spacing, sub.d)
+        worst = np.maximum(worst, np.abs(rows, out=rows).max())
     return float(worst)
 
 
@@ -276,25 +293,11 @@ def tensor_grid(model, grid):
 
 def div_rows(T_field, spacing, d):
     """Row-wise divergence sum_j d/dy_j T_ij on interior nodes of a
-    (..., rows, d) field, as a (..., rows) view of a component-major
-    (rows, ...) buffer.
-
-    Each row sums its central differences onto 0.0 in axis order, the
-    arithmetic of ``0.0 + _cd(..) + ..``, with every difference taken into
-    one scratch array.
-    """
-    dim = T_field.shape[-2]
-    inner = tuple(max(n - 2, 0) for n in T_field.shape[:d])
-    out = np.zeros((dim,) + inner)
-    term = np.empty(inner)
-    for j in range(d):
-        hi, lo = _cd_neighbours(j, d)
-        for i in range(dim):
-            T_ij = T_field[..., i, j]
-            np.subtract(T_ij[hi], T_ij[lo], out=term)
-            np.divide(term, 2.0 * spacing[j], out=term)
-            np.add(out[i], term, out=out[i])
-    return np.moveaxis(out, 0, -1)
+    (..., rows, d) field, as a (..., rows) view of ``_divergence``'s buffer."""
+    rows = range(T_field.shape[-2])
+    fields = [T_field[..., i, j] for i in rows for j in range(d)]
+    table = [[(j, i * d + j, 1) for j in range(d)] for i in rows]
+    return np.moveaxis(_divergence(fields, table, spacing, d), 0, -1)
 
 
 def div_T_residual(model, grid):
@@ -312,20 +315,19 @@ def euler_lagrange_rows(model, grid):
     permutation sign.
 
     Its vanishing is the Euler-Lagrange equation for variations
-    alpha + d beta.  Row K gathers (axis j, slot of jK, sign) from the
+    alpha + d beta.  Row K takes (axis j, slot of jK, sign) from the
     exterior derivative table of degree p - 1 read transposed, since the
-    divergence is the adjoint of d, and the field goes through div_rows.
+    divergence is the adjoint of d, with its terms in axis order.
     """
     _require_interior(grid)
     d, p = grid.d, grid.p
-    s = grid.entropy if grid.entropy is not None else 0.0
-    g = model.gradient(grid.values, s)
-    G = np.zeros((form_basis(d, p - 1).size, d) + grid.dims)
+    g = model.gradient(grid.values, grid.entropy if grid.entropy is not None else 0.0)
+    index, table = form_basis(d, p).index, [[] for _ in range(form_basis(d, p - 1).size)]
     for J, terms in exterior_derivative_table(d, p - 1):
-        g_J = g[..., form_basis(d, p).index[J]]
         for axis, K, sign in terms:
-            G[K, axis] = sign * g_J
-    return div_rows(G.transpose(tuple(range(2, G.ndim)) + (0, 1)), grid.spacing, d)
+            table[K].append((axis, index[J], sign))
+    rows = _divergence(np.moveaxis(g, -1, 0), [sorted(t) for t in table], grid.spacing, d)
+    return np.moveaxis(rows, 0, -1)
 
 
 def poynting_residual(model, grid):
@@ -340,10 +342,9 @@ def poynting_residual(model, grid):
         D, H, W = model.fields(E, B, sub.entropy if sub.entropy is not None else 0.0)
         ExH = np.empty_like(E)
         _cross(E, H, ExH)
-        acc = out[start:start + sub.dims[0] - 2]
-        acc[...] = _cd(W, 0, sub.spacing[0], sub.d)
-        for k in range(3):
-            np.add(acc, _cd(ExH[..., k], 1 + k, sub.spacing[1 + k], sub.d), out=acc)
+        out[start:start + sub.dims[0] - 2] = _divergence(
+            [W, *(ExH[..., k] for k in range(3))], [[(a, a, 1) for a in range(4)]],
+            sub.spacing, sub.d)[0]
     return out
 
 

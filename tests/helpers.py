@@ -167,9 +167,10 @@ def normal_search_reference(model, m_left, rho_jump_min=0.05, coarse=121):
     return float(theta), float(residual), nu_of(theta), refined
 
 
-# whole-grid references for the slabbed residuals of divfree.fields: each
-# computes every interior node in one pass, with the arithmetic the slabs
-# repeat per slab
+# references for the grid residuals of divfree.fields: the whole-grid ones
+# compute every interior node in one pass, with the arithmetic the slabs
+# repeat per slab, and the gather sums every axis of every Euler-Lagrange
+# row, zero terms included, through div_rows
 
 
 def closedness_residual_whole(grid):
@@ -183,6 +184,21 @@ def closedness_residual_whole(grid):
             acc = acc + sign * _cd(grid.values[..., slot], axis, grid.spacing[axis], grid.d)
         worst = np.maximum(worst, np.abs(acc).max())
     return float(worst)
+
+
+def euler_lagrange_rows_gather(model, grid):
+    """The Euler-Lagrange rows through a zero-filled (C(d, p-1), d) gather
+    G_{jK} = sign(jK) g_J handed to div_rows, every axis of every row."""
+    _require_interior(grid)
+    d, p = grid.d, grid.p
+    s = grid.entropy if grid.entropy is not None else 0.0
+    g = model.gradient(grid.values, s)
+    G = np.zeros((form_basis(d, p - 1).size, d) + grid.dims)
+    for J, terms in exterior_derivative_table(d, p - 1):
+        g_J = g[..., form_basis(d, p).index[J]]
+        for axis, K, sign in terms:
+            G[K, axis] = sign * g_J
+    return div_rows(G.transpose(tuple(range(2, G.ndim)) + (0, 1)), grid.spacing, d)
 
 
 def div_T_residual_whole(model, grid):

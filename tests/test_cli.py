@@ -229,6 +229,11 @@ MALFORMED_MANIFESTS = {
     "nan-origin": lambda m: {**m, "origin": [float("nan"), 0.0]},
     "scalar-spacing": lambda m: {**m, "spacing": 0.2},
     "top-level-list": lambda m: [m],
+    # has_entropy is a JSON boolean: true or false, nothing read by truthiness
+    "string-entropy": lambda m: {**m, "has_entropy": "no"},
+    "int-entropy": lambda m: {**m, "has_entropy": 1},
+    "null-entropy": lambda m: {**m, "has_entropy": None},
+    "missing-entropy": lambda m: {k: v for k, v in m.items() if k != "has_entropy"},
 }
 
 
@@ -242,6 +247,7 @@ def test_malformed_grid_manifest_is_an_input_error(tmp_path, capsys, case):
     line = assert_one_error_line(capsys, ["verify", "--field", str(path), "--model", "gas"])
     # the line names the manifest or its bad key, not a numpy internal
     assert any(name in line for name in ("grid.json", "origin", "spacing"))
+    assert ("has_entropy" in line) == case.endswith("-entropy")
 
 
 def test_jump_search_mode(capsys):

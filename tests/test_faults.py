@@ -15,6 +15,8 @@ import divfree.invariance
 import divfree.manufactured
 import divfree.models
 import divfree.tensors
+import test_fields
+import test_invariance
 from divfree import (ad_gradient, assemble, build_model, case_refinement, euclidean_metric,
                      finite_difference_gradient, invariance_symmetry_check,
                      lightlike_normal_search, minkowski_metric, variation_study)
@@ -25,15 +27,20 @@ from divfree.models import RelativisticState, typed_state
 from divfree.tensors import general_tensor_array
 
 from helpers import (IDENTITY_LADDERS, energy_density, euler_lagrange_identity,
-                     limit_jump_states, normal_search_reference, random_slab_grids, rel_gap,
-                     same_bits, sampled_states, slab_budget, slab_results, trace_identity_gap)
+                     limit_jump_states, normal_search_reference, pass_maxima, random_slab_grids,
+                     rel_gap, same_bits, sampled_states, slab_budget, slab_results,
+                     trace_identity_gap)
+from test_acceptance import BROKEN_PAIRS, INVARIANT_PAIRS
 
-# criterion 01 gates the block forms, criterion 04 the wave rows' orders,
+# criterion 01 gates the block forms, criterion 02 the invariant defects and
+# the witness floor, criterion 04 the wave rows' orders,
 # criterion 05 the variation orders, criterion 06 the difference gradient,
 # criterion 07 the power-law pressure, criterion 08 the search residual and
 # the density jump, criterion 09 the advected-entropy order and the shear
 # floor; the Euler-Lagrange identity gates its gap's order and |Div T|
 BLOCK_TOL = 1e-12
+INVARIANT_TOL = 1e-10
+WITNESS_FLOOR = 1e-2
 VARIATION_ORDER = 1.9
 WAVE_ORDER = 1.9
 DIFFERENCE_TOL = 1e-6
@@ -60,6 +67,15 @@ def rewritten(fn, old, new):
     exec(compile("\n" * (first - 1) + source.replace(old, new),
                  inspect.getsourcefile(fn), "exec"), fn.__globals__, scope)
     return scope[fn.__name__].__code__
+
+
+def fails(test, *args):
+    """Whether a test function of the suite fails its assertions."""
+    try:
+        test(*args)
+    except AssertionError:
+        return True
+    return False
 
 
 def block_gap(model, A, s, states):
@@ -164,6 +180,48 @@ def test_dropped_jacobian_term_breaks_the_variation_orders(monkeypatch):
     monkeypatch.setattr(fn, "__code__", rewritten(
         fn, "for j in range(1, d):", "for j in range(1, d - 1):"))
     assert not variation_orders_hold(2, 1)
+
+
+def criterion_02_gate():
+    """Criterion 02's two sides: (invariant defects <= INVARIANT_TOL, witness
+    defects >= WITNESS_FLOOR)."""
+    worst = 0.0
+    for name, metric in INVARIANT_PAIRS:
+        rep = invariance_symmetry_check(build_model(name), metric(), n_states=128, seed=0)
+        worst = max(worst, rep["invariance_defect"], rep["symmetry_defect"])
+    floor = min(min(pass_maxima(build_model(name), metric(), (A_w[None, :], np.zeros(1)))[:2])
+                for name, metric, A_w in BROKEN_PAIRS)
+    return worst <= INVARIANT_TOL, floor >= WITNESS_FLOOR
+
+
+def test_unweighted_symmetry_defect_breaks_the_invariant_side(monkeypatch):
+    # the Lorentz-invariant tensors are S-symmetric, not symmetric, so the
+    # asymmetry of T itself lifts their defect off zero
+    assert criterion_02_gate() == (True, True)
+    fn = divfree.tensors.symmetry_defect
+    monkeypatch.setattr(fn, "__code__", rewritten(fn, "if S is not None:", "if False:"))
+    assert not criterion_02_gate()[0]
+
+
+def test_gap_for_pairing_breaks_the_witness_side(monkeypatch):
+    # the pairing minus the trace is the identity's gap, near zero at every
+    # state, so a broken density reads as invariant
+    assert criterion_02_gate() == (True, True)
+    fn = divfree.invariance.generator_defects
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, '"defect": np.abs(pairing) / norm', '"defect": np.abs(pairing - trace) / norm'))
+    assert not criterion_02_gate()[1]
+
+
+def test_metric_for_its_inverse_breaks_the_quadratic_families(monkeypatch):
+    # minkowski_metric() at c = 1 is its own inverse, so only a metric with
+    # c != 1 can tell S from S^-1: the quadratic families have c = 1.5, 0.5
+    families = test_invariance.test_quadratic_families_agree_on_both_sides
+    assert not fails(families)
+    fn = divfree.tensors.symmetry_defect
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "np.linalg.inv(np.asarray(S, dtype=float))", "np.asarray(S, dtype=float)"))
+    assert fails(families)
 
 
 def test_min_for_max_breaks_the_invariance_verdict(monkeypatch):
@@ -286,12 +344,14 @@ def test_dropped_axis_term_breaks_the_wave_divergence(monkeypatch):
     assert wave_row_orders() < WAVE_ORDER
 
 
-def test_flipped_gather_sign_breaks_the_euler_lagrange_identity(monkeypatch):
-    def holds(d, p):
-        orders, div_T = euler_lagrange_identity(d, p)
-        return min(orders) >= IDENTITY_ORDER and min(div_T) >= IDENTITY_DIV_T
+def identity_holds(d, p):
+    """The off-shell identity's gate on one (d, p)."""
+    orders, div_T = euler_lagrange_identity(d, p)
+    return min(orders) >= IDENTITY_ORDER and min(div_T) >= IDENTITY_DIV_T
 
-    assert all(holds(d, p) for d, p in IDENTITY_LADDERS)
+
+def test_flipped_gather_sign_breaks_the_euler_lagrange_identity(monkeypatch):
+    assert all(identity_holds(d, p) for d, p in IDENTITY_LADDERS)
     # the gather reads the sign of jK off the exterior derivative table;
     # flip the first term of its first row.  A single-mode field is constant
     # along some axes, so the flip shows on most (d, p), not on every one
@@ -302,7 +362,24 @@ def test_flipped_gather_sign_breaks_the_euler_lagrange_identity(monkeypatch):
         return ((J, ((axis, slot, -sign), *rest)), *rows)
 
     monkeypatch.setattr(divfree.fields, "exterior_derivative_table", flipped)
-    assert not all(holds(d, p) for d, p in IDENTITY_LADDERS)
+    assert not all(identity_holds(d, p) for d, p in IDENTITY_LADDERS)
+
+
+def test_unsigned_divergence_terms_break_closedness_and_the_identity(monkeypatch):
+    # every residual sums its differences in fields._divergence; adding the
+    # negative terms too leaves the cubic gradient's d alpha uncancelled and
+    # div G no longer the adjoint of d.  The p = 1 rows of div G, such as the
+    # curl of dL/dm, read only positive signs, so the p = 2 Maxwell rows and
+    # the identity at p >= 2 must show it
+    tests = (test_fields.test_cubic_gradient_field_closes_at_exactly_h_squared,
+             test_fields.test_maxwell_euler_lagrange_rows_are_gauss_and_ampere)
+    assert not any(fails(test) for test in tests)
+    assert all(identity_holds(d, p) for d, p in IDENTITY_LADDERS)
+    fn = divfree.fields._divergence
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "(np.add if sign > 0 else np.subtract)", "np.add"))
+    assert all(fails(test) for test in tests)
+    assert not all(identity_holds(d, p) for d, p in IDENTITY_LADDERS)
 
 
 def test_dropped_last_slab_breaks_the_slab_bits_and_the_wave_rows(monkeypatch):

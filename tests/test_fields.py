@@ -10,6 +10,7 @@ from divfree import (
     GridField,
     build_model,
     case_refinement,
+    coeffs_to_em,
     coeffs_to_momentum,
     lightlike_normal_search,
     momentum_to_coeffs,
@@ -41,9 +42,9 @@ from divfree.manufactured import CASES, bump_variation, closed_trig_form, run_ca
 from divfree.models import GasState, RelativisticState
 from divfree.tensors import general_tensor_array
 
-from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, family_residual_loop,
-                     limit_jump_states, normal_search_reference, random_slab_grids, same_bits,
-                     slab_budget, slab_results)
+from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, euler_lagrange_rows_gather,
+                     family_residual_loop, limit_jump_states, normal_search_reference,
+                     random_slab_grids, same_bits, slab_budget, slab_results)
 
 
 def _gas_momentum_grid(n):
@@ -564,6 +565,37 @@ def test_momentum_euler_lagrange_rows_are_the_curl_of_dL_dm(case):
     rows = euler_lagrange_rows(model, grid)
     assert rows.shape == curl.shape + (1,)
     assert np.array_equal(rows[..., 0], curl)
+
+
+def test_maxwell_euler_lagrange_rows_are_gauss_and_ampere():
+    # p = 2 in d = 4: div G is (div D, curl H - d_t D), the electric half of
+    # Maxwell's equations; unlike p = 1 rows, these read negative table signs
+    model, grid = random_slab_grids((6, 5, 4, 5), (3, 3))[0]
+    D, H = model.material(*coeffs_to_em(grid.values), 0.0)
+
+    def cd(f, k, axis):
+        return _cd(f[..., k], axis, grid.spacing[axis], 4)
+
+    want = [cd(D, 0, 1) + cd(D, 1, 2) + cd(D, 2, 3),
+            -cd(D, 0, 0) + cd(H, 2, 2) - cd(H, 1, 3),
+            -cd(D, 1, 0) - cd(H, 2, 1) + cd(H, 0, 3),
+            -cd(D, 2, 0) + cd(H, 1, 1) - cd(H, 0, 2)]
+    assert np.array_equal(euler_lagrange_rows(model, grid), np.stack(want, axis=-1))
+
+
+@pytest.mark.parametrize("d,p", [(d, p) for d in (2, 3, 4) for p in range(1, d + 1)])
+def test_euler_lagrange_rows_are_the_gather_bits(d, p):
+    # random coefficients and entropy on the study model, which reads s, and
+    # one NaN coefficient: only the gather's zero terms are left out
+    rng = np.random.default_rng(10 * d + p)
+    dims = (7, 6, 5, 4)[:d]
+    grid = GridField(d, p, dims, rng.uniform(0.1, 0.5, d), (0.0,) * d,
+                     rng.standard_normal(dims + (math.comb(d, p),)), rng.standard_normal(dims))
+    grid.values[(2,) * d + (0,)] = np.nan
+    model = study_model(d, p, 0)
+    rows = euler_lagrange_rows(model, grid)
+    assert np.isnan(rows).any() and not np.isnan(rows).all()
+    assert same_bits(rows, euler_lagrange_rows_gather(model, grid))
 
 
 @pytest.mark.parametrize("d,p", sorted(IDENTITY_LADDERS))
