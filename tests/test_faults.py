@@ -62,7 +62,7 @@ def rewritten(fn, old, new):
     as ``fn.__code__`` so that every reference to fn runs the fault."""
     lines, first = inspect.getsourcelines(fn)
     source = textwrap.dedent("".join(lines))
-    assert source.count(old) == 1, f"{old!r} is not one line of {fn.__name__}"
+    assert source.count(old) == 1, f"{old!r} does not occur once in {fn.__name__}"
     scope = {}
     exec(compile("\n" * (first - 1) + source.replace(old, new),
                  inspect.getsourcefile(fn), "exec"), fn.__globals__, scope)
@@ -180,6 +180,21 @@ def test_dropped_jacobian_term_breaks_the_variation_orders(monkeypatch):
     monkeypatch.setattr(fn, "__code__", rewritten(
         fn, "for j in range(1, d):", "for j in range(1, d - 1):"))
     assert not variation_orders_hold(2, 1)
+
+
+def test_forward_euler_flow_breaks_the_substep_share(monkeypatch):
+    # every stage reads the first, so each step is forward Euler.  Its map
+    # error is even in eps and cancels in the centred difference: criterion
+    # 05's orders still hold.  Halving the step moves that error, by 4 % of
+    # the study's error at seed 2
+    bound = test_fields.test_flow_substeps_move_the_first_variation_little
+    assert not fails(bound, 2, 1)
+    fn = divfree.fields._flow_with_jacobian
+    stages = ("k2 = rhs(w + 0.5 * h * k1[0], G + 0.5 * h * k1[1])\n"
+              "        k3 = rhs(w + 0.5 * h * k2[0], G + 0.5 * h * k2[1])\n"
+              "        k4 = rhs(w + h * k3[0], G + h * k3[1])")
+    monkeypatch.setattr(fn, "__code__", rewritten(fn, stages, "k2 = k3 = k4 = k1"))
+    assert fails(bound, 2, 1)
 
 
 def criterion_02_gate():

@@ -17,6 +17,7 @@ from divfree import (
     save_grid,
     variation_study,
 )
+from divfree import fields
 from divfree.exterior import pullback_coeffs
 from divfree.fields import (
     FlowLeftGridError,
@@ -45,6 +46,11 @@ from divfree.tensors import general_tensor_array
 from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, euler_lagrange_rows_gather,
                      family_residual_loop, limit_jump_states, normal_search_reference,
                      random_slab_grids, same_bits, slab_budget, slab_results)
+from test_acceptance import VARIATION_COMBOS, VARIATION_LADDER, VARIATION_SEEDS
+
+# the largest share of criterion 05's error, |numeric - pairing|, that
+# doubling the flow's RK4 substeps may move its numeric side by
+SUBSTEP_SHARE = 1e-3
 
 
 def _gas_momentum_grid(n):
@@ -391,9 +397,11 @@ def test_bump_value_half_is_the_sampled_field(d, n):
     assert v.tobytes() == var.values.tobytes()
 
 
-def _full_grid_first_variation(model, grid, var, eps, substeps=8):
+def _full_grid_first_variation(model, grid, var, eps):
     """Reference numeric derivative: the classical RK4 flow of every grid
-    node, with the functional summed over all of them."""
+    node in the flow's own substep count, with the functional summed over
+    all of them."""
+    substeps = fields._FLOW_SUBSTEPS
     d = grid.d
     Y = grid.coordinates().reshape(-1, d)
     A = grid.values.reshape(-1, grid.n_coeffs)
@@ -461,6 +469,27 @@ def test_first_variation_matches_the_full_grid_flow(d, p, n, crossing):
         float(np.sum(np.abs(T[..., i, j] * _cd(var.values[..., i], j, h, d))))
         for i in range(d) for j in range(d))
     assert abs(numeric - reference) <= 1e-12 * scale
+
+
+def substep_share(d, p, seed):
+    """The worst over the levels of criterion 05's (d, p, seed) study of
+    |numeric(k) - numeric(2k)| / |numeric(2k) - pairing|, k the flow's RK4
+    substep count: what halving the step moves against the error it sees."""
+    k = fields._FLOW_SUBSTEPS
+    n0, levels = VARIATION_LADDER[d]
+    studies = []
+    for substeps in (k, 2 * k):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_FLOW_SUBSTEPS", substeps)
+            studies.append(variation_study(d, p, seed=seed, levels=levels, n0=n0)["levels"])
+    return max(abs(a["numeric"] - b["numeric"]) / b["error"] for a, b in zip(*studies))
+
+
+@pytest.mark.parametrize("d, p", VARIATION_COMBOS)
+def test_flow_substeps_move_the_first_variation_little(d, p):
+    # the RK4 error over a flow of length eps in k steps is O(eps (eps/k)^4),
+    # far below the O(eps^2 + h^2) the study measures; this bounds it
+    assert max(substep_share(d, p, seed) for seed in VARIATION_SEEDS) <= SUBSTEP_SHARE
 
 
 def test_a_still_variation_has_no_first_variation():
