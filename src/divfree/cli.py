@@ -231,11 +231,12 @@ def cmd_invariance(args):
 
 
 def _expectation_failed(case_report, min_order, orders=None):
+    # "not <=" and "not >=" rather than ">" and "<", so that a NaN residual fails
     expected = case_report["expected"]
     if expected == "zero":
-        return case_report["residual"] > case_report["tol"]
+        return not case_report["residual"] <= case_report["tol"]
     if expected == "floor":
-        return case_report["residual"] < case_report["floor"]
+        return not case_report["residual"] >= case_report["floor"]
     if expected == "order2" and orders is not None:
         return (not orders) or min(orders) < min_order
     return False
@@ -250,7 +251,8 @@ def cmd_verify(args):
                 raise ValueError(f"--levels must be at least 2, not {args.levels}")
             ns = [args.n * (1 << k) for k in range(args.levels)]
             report = case_refinement(args.manufactured, ns)
-            failed = any(_expectation_failed(r, args.min_order, report["orders"])
+            failed = any(not np.isfinite(r["residual"])
+                         or _expectation_failed(r, args.min_order, report["orders"])
                          for r in report["reports"])
         else:
             report = run_case(args.manufactured, args.n)

@@ -46,6 +46,15 @@ def _positive_spacing(spacing):
     return spacing
 
 
+def _grid_frame(d, dims, spacing, origin):
+    """(dims, spacing, origin) as d ints, d positive floats and d floats."""
+    frame = (tuple(int(n) for n in dims), _positive_spacing(spacing),
+             tuple(float(o) for o in origin))
+    if any(len(axes) != d for axes in frame):
+        raise ValueError("dims, spacing and origin must each have d entries")
+    return frame
+
+
 def _node_coordinates(dims, spacing, origin):
     """Node coordinates of a uniform grid, shape dims + (d,)."""
     axes = [o + h * np.arange(n) for n, h, o in zip(dims, spacing, origin)]
@@ -69,11 +78,8 @@ class GridField:
     entropy: np.ndarray | None = None
 
     def __post_init__(self):
-        self.dims = tuple(int(n) for n in self.dims)
-        self.spacing = _positive_spacing(self.spacing)
-        self.origin = tuple(float(o) for o in self.origin)
-        if len(self.dims) != self.d or len(self.spacing) != self.d or len(self.origin) != self.d:
-            raise ValueError("dims, spacing and origin must each have d entries")
+        self.dims, self.spacing, self.origin = _grid_frame(
+            self.d, self.dims, self.spacing, self.origin)
         C = form_basis(self.d, self.p).size
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.dims + (C,):
@@ -357,7 +363,7 @@ class VariationField:
     """A compactly supported velocity field for flow variations.
 
     ``values`` samples the field on the nodes of a grid and must vanish on
-    a margin of at least two nodes at every boundary.  ``func_jac(Y)``
+    the two nodes nearest every boundary.  ``func_jac(Y)``
     returns the field and its Jacobian (..., d, d) at arbitrary points Y
     (..., d); the flow integrator reads only that analytic pair.
     """
@@ -367,20 +373,18 @@ class VariationField:
     origin: tuple
     values: np.ndarray
     func_jac: object
-    margin: int = 2
 
     def __post_init__(self):
-        self.dims = tuple(int(n) for n in self.dims)
-        self.spacing = _positive_spacing(self.spacing)
-        self.origin = tuple(float(o) for o in self.origin)
-        self.values = np.asarray(self.values, dtype=float)
         d = len(self.dims)
+        self.dims, self.spacing, self.origin = _grid_frame(
+            d, self.dims, self.spacing, self.origin)
+        self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.dims + (d,):
             raise ValueError(f"values must have shape {self.dims + (d,)}")
         for a in range(d):
             rows = np.moveaxis(self.values, a, 0)
-            if rows[:self.margin].any() or rows[self.dims[a] - self.margin:].any():
-                raise ValueError(f"variation must vanish on a {self.margin}-node margin")
+            if rows[:2].any() or rows[self.dims[a] - 2:].any():
+                raise ValueError("variation must vanish on a 2-node margin")
 
     def value_and_jacobian(self, Y):
         v, J = self.func_jac(Y)
@@ -442,6 +446,12 @@ def _flow_with_jacobian(var, Y, tau):
     return w, np.moveaxis(G, (0, 1), (-2, -1))
 
 
+def _require_same_grid(grid, var):
+    if (var.dims, var.spacing, var.origin) != (grid.dims, grid.spacing, grid.origin):
+        raise ValueError("the variation must be sampled on the field's grid: "
+                         "equal dims, spacing and origin")
+
+
 def first_variation(model, grid, var, eps):
     """Numeric flow derivative of the discretized functional next to the
     tensor pairing it should equal.
@@ -460,9 +470,7 @@ def first_variation(model, grid, var, eps):
     the flow fixes it with G = I and it adds the same L(A) vol to both
     signs of eps, which cancels in the centred difference.
     """
-    if (var.dims, var.spacing, var.origin) != (grid.dims, grid.spacing, grid.origin):
-        raise ValueError("the variation must be sampled on the field's grid: "
-                         "equal dims, spacing and origin")
+    _require_same_grid(grid, var)
     d = grid.d
     Y = grid.coordinates().reshape(-1, d)
     v, J = var.value_and_jacobian(Y)
@@ -499,6 +507,7 @@ def first_variation(model, grid, var, eps):
 def divergence_pairing(model, grid, var):
     """+ sum_cells xi_i (Div T)_i vol, the summation-by-parts partner of the
     tensor pairing; equal to it exactly for margin-supported variations."""
+    _require_same_grid(grid, var)
     T = tensor_grid(model, grid)
     rows = div_rows(T, grid.spacing, grid.d)
     xi_int = _interior(var.values, grid.d)
@@ -597,21 +606,18 @@ def _left_state(model, m_left):
             general_tensor_array(model, momentum_to_coeffs(m_left[None, :]), 0.0))
 
 
-def _family_residual(model, nu, m_left, rho_jump_min, left=None):
+def _family_residual(model, nu, m_left, rho_jump_min, left):
     """Smallest jump residual over candidate right states with a genuine
-    density jump; the residual couples |[T] nu| with |[m . nu]|.
+    density jump, for each of a batch (K, d) of normals; the residual
+    couples |[T] nu| with |[m . nu]|.
 
-    ``nu`` is one normal (d,) or a batch (K, d) of normals.  The candidates
-    of every normal step from m_left along Lam^{-1} nu and a basis of the
-    plane nu . w = 0, and are assembled in one tensor call.  ``left`` is
-    ``_left_state(model, m_left)``, built here when not given; a search
-    builds it once and passes it to every call.  Returns a float for one
-    normal and a (K,) array for a batch; a normal with no admissible
-    candidate scores inf.
+    The candidates of every normal step from m_left along Lam^{-1} nu and a
+    basis of the plane nu . w = 0, and are assembled in one tensor call.
+    ``left`` is ``_left_state(model, m_left)``, which a search builds once
+    and passes to every call.  Returns a (K,) array; a normal with no
+    admissible candidate scores inf.
     """
-    nu = np.asarray(nu, dtype=float)
-    single = nu.ndim == 1
-    nu = _unit_rows(np.atleast_2d(nu))
+    nu = _unit_rows(np.asarray(nu, dtype=float))
     K, d = nu.shape
     # per normal: Lam^{-1} nu, then a Euclidean-orthogonal basis of the
     # plane nu . w = 0
@@ -622,7 +628,7 @@ def _family_residual(model, nu, m_left, rho_jump_min, left=None):
     # every candidate, normal-major: (K, d directions, steps) flattened
     m_R = (m_left + _LAM_GRID[:, None] * dirs[:, :, None, :]).reshape(-1, d)
     owner = np.repeat(np.arange(K), d * _LAM_GRID.size)
-    rho_L, T_L = _left_state(model, m_left) if left is None else left
+    rho_L, T_L = left
     r2 = model.rho_sq(m_R)
     keep = r2 > 1e-10
     keep[keep] = np.abs(np.sqrt(r2[keep]) - rho_L) >= rho_jump_min
@@ -637,8 +643,7 @@ def _family_residual(model, nu, m_left, rho_jump_min, left=None):
         # does not
         m_nu = np.abs(np.einsum("ni,ni->n", m_R - m_left, nu_R))
         resid[keep] = np.maximum(jump, m_nu)
-    best = resid.reshape(K, -1).min(axis=1)
-    return float(best[0]) if single else best
+    return resid.reshape(K, -1).min(axis=1)
 
 
 def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):

@@ -165,6 +165,8 @@ def run_case(name, n):
     """Evaluate one catalog case at resolution n and report its residuals."""
     if name not in CASES:
         raise KeyError(f"unknown case {name!r}; choices: {', '.join(list_cases())}")
+    if n < 3:
+        raise ValueError("need at least 3 nodes per axis for interior differences")
     case = CASES[name]
     built = case.build(n)
     report = {"case": name, "kind": case.kind, "n": n,
@@ -347,11 +349,7 @@ def study_model(d, p, seed):
     def grad_fn(A, s):
         A = np.asarray(A, dtype=float)
         root = np.sqrt(1.0 + np.einsum("...a,...a->...", A, A))
-        out = A @ Q + A / root[..., None]
-        s_arr = np.asarray(s, dtype=float)
-        if s_arr.ndim:
-            return out + 0.2 * s_arr[..., None] * w
-        return out + 0.2 * float(s_arr) * w
+        return A @ Q + A / root[..., None] + 0.2 * np.asarray(s, dtype=float)[..., None] * w
 
     return LagrangianModel(f"study-d{d}p{p}", d, p, fn, grad_fn=grad_fn)
 

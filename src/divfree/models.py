@@ -32,7 +32,7 @@ from .conventions import (
     momentum_to_coeffs,
 )
 from .dualnum import Dual, derivative, value
-from .exterior import PFormValue, form_basis
+from .exterior import form_basis
 
 
 class EvaluationDomainError(ValueError):
@@ -165,11 +165,6 @@ class GasState:
     def coeffs(self):
         return momentum_to_coeffs(self.m)
 
-    @classmethod
-    def from_coeffs(cls, a, s=0.0):
-        m = coeffs_to_momentum(a)
-        return cls(m[0], m[1:], s)
-
 
 @dataclass
 class RelativisticState:
@@ -184,10 +179,6 @@ class RelativisticState:
     @property
     def coeffs(self):
         return momentum_to_coeffs(self.m)
-
-    @classmethod
-    def from_coeffs(cls, a, s=0.0):
-        return cls(coeffs_to_momentum(a), s)
 
 
 @dataclass
@@ -205,19 +196,6 @@ class EMState:
     @property
     def coeffs(self):
         return em_to_coeffs(self.E, self.B)
-
-    @classmethod
-    def from_coeffs(cls, a, s=0.0):
-        return cls(*coeffs_to_em(a), s)
-
-
-def typed_state(model, a, s=0.0):
-    """One coefficient row as a state of the model's family, or as a
-    PFormValue for a model without a state class; the inverse of reading a
-    state's ``.coeffs`` and ``.s``."""
-    if model.state_type is None:
-        return PFormValue(model.d, model.p, a, float(s))
-    return model.state_type.from_coeffs(np.asarray(a, dtype=float), float(s))
 
 
 # ---------------------------------------------------------------------------

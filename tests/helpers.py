@@ -9,14 +9,14 @@ import numpy as np
 
 import divfree
 from divfree.conventions import coeffs_to_em, coeffs_to_momentum, em_to_coeffs, momentum_to_coeffs
-from divfree.exterior import exterior_derivative_table, form_basis
+from divfree.exterior import PFormValue, exterior_derivative_table, form_basis
 from divfree.fields import (_LAM_GRID, _REFINE_ITERS, _cd, _interior, _require_interior,
                             closedness_residual, div_rows, div_T_residual,
                             entropy_transport_residual, euler_lagrange_rows,
                             poynting_residual, tensor_grid)
 from divfree.invariance import generator_defects
 from divfree.manufactured import closed_trig_form, study_model
-from divfree.models import MaxwellModel
+from divfree.models import EMState, GasState, MaxwellModel, RelativisticState
 from divfree.tensors import general_tensor_array, symmetry_defect
 
 
@@ -34,6 +34,21 @@ def ultrarelativistic(model):
 def sampled_states(model, n, seed):
     """Admissible (A, s) batch drawn through the model's own sampler."""
     return model.sample_states(np.random.default_rng(seed), n)
+
+
+def typed_state(model, a, s=0.0):
+    """One coefficient row as a state of the model's family, or as a
+    PFormValue for a model without a state class; the inverse of reading a
+    state's ``.coeffs`` and ``.s``."""
+    a, s = np.asarray(a, dtype=float), float(s)
+    if model.state_type is None:
+        return PFormValue(model.d, model.p, a, s)
+    if model.state_type is EMState:
+        return EMState(*coeffs_to_em(a), s)
+    m = coeffs_to_momentum(a)
+    if model.state_type is GasState:
+        return GasState(m[0], m[1:], s)
+    return RelativisticState(m, s)
 
 
 def pass_maxima(model, S, states):

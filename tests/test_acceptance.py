@@ -26,13 +26,13 @@ from divfree import (
     momentum_to_coeffs,
     variation_study,
 )
-from divfree.fields import _family_residual, rankine_hugoniot
+from divfree.fields import _family_residual, _left_state, rankine_hugoniot
 from divfree.manufactured import run_case
-from divfree.models import RelativisticState, typed_state
+from divfree.models import RelativisticState
 from divfree.tensors import general_tensor_array
 
 from helpers import (energy_density, limit_jump_states, pass_maxima, rel_gap, run_cli_process,
-                     sampled_states, ultrarelativistic)
+                     sampled_states, typed_state, ultrarelativistic)
 
 N_STATES = 100
 
@@ -224,8 +224,8 @@ def test_criterion_08_lightcone_jumps(conclude):
                and abs(rep["m_nu_jump"]) <= 1e-10
                and abs(rep["rho_jump"]) >= 0.05)
     cone_ok = abs(rep["metric_quadratic"]) <= 1e-8
-    timelike = _family_residual(model, np.array([1.0, 0.2, 0.0, 0.0]),
-                                m_left, 0.05)
+    timelike = _family_residual(model, np.array([[1.0, 0.2, 0.0, 0.0]]),
+                                m_left, 0.05, _left_state(model, m_left))[0]
     dt = time.perf_counter() - t0
     ok = found["residual"] <= 1e-10 and jump_ok and cone_ok and timelike >= 1e-3
     conclude(8, "genuine jumps of the limit density select light-like normals",

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import divfree.manufactured
 from divfree import (
     assemble_gas,
     build_model,
@@ -296,6 +297,12 @@ def test_refinement_with_one_level_is_an_input_error(capsys, levels):
     assert "--levels" in line
 
 
+@pytest.mark.parametrize("flags", (["-n", "0"], ["-n", "2"], ["--refine", "-n", "0"]))
+def test_verify_with_too_few_nodes_is_an_input_error(capsys, flags):
+    line = assert_one_error_line(capsys, ["verify", "--manufactured", "closed-cubic", *flags])
+    assert line == "error: need at least 3 nodes per axis for interior differences"
+
+
 @pytest.mark.parametrize("tols", (
     ["--tol-invariant", "nan"], ["--tol-invariant", "-1"], ["--tol-broken", "inf"],
     ["--tol-invariant", "1", "--tol-broken", "0.5"],
@@ -437,6 +444,30 @@ def test_verify_a_counterexample_above_its_floor(capsys):
                                  "--refine", "-n", "8", "--levels", "2"])
     assert code == 0
     assert min(r["residual"] for r in json.loads(out)["reports"]) >= 0.5
+
+
+@pytest.mark.parametrize("argv", (
+    ["uniform-gas", "-n", "6"], ["uniform-gas", "--refine", "-n", "6", "--levels", "2"],
+    ["gas-pressure-imbalance", "-n", "6"],
+    ["gas-pressure-imbalance", "--refine", "-n", "6", "--levels", "2"],
+))
+def test_verify_fails_a_nan_divergence_residual(capsys, monkeypatch, argv):
+    # NaN is neither above a zero case's tol nor below a floor case's floor
+    monkeypatch.setattr("divfree.manufactured.div_T_residual",
+                        lambda model, grid: np.full(grid.d, np.nan))
+    code, out = run_cli(capsys, ["verify", "--manufactured", *argv])
+    assert code == 2 and json.loads(out)["command"] == "verify"
+
+
+def test_verify_fails_a_ladder_with_a_nan_level(capsys, monkeypatch):
+    # the orders skip the NaN level, so the two finite levels alone would
+    # read as order 2
+    real = divfree.manufactured.closedness_residual
+    monkeypatch.setattr("divfree.manufactured.closedness_residual",
+                        lambda grid: np.nan if grid.dims[0] == 32 else real(grid))
+    code, out = run_cli(capsys, ["verify", "--manufactured", "closed-cubic",
+                                 "--refine", "-n", "8", "--levels", "3"])
+    assert code == 2 and json.loads(out)["orders"] == [2.0]
 
 
 def test_pretty_output_renders_scalars(capsys):

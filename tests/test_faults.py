@@ -17,19 +17,20 @@ import divfree.models
 import divfree.tensors
 import test_fields
 import test_invariance
+import test_tensors
 from divfree import (ad_gradient, assemble, build_model, case_refinement, euclidean_metric,
                      finite_difference_gradient, invariance_symmetry_check,
                      lightlike_normal_search, minkowski_metric, variation_study)
 from divfree import dualnum
 from divfree.fields import rankine_hugoniot
 from divfree.manufactured import run_case
-from divfree.models import RelativisticState, typed_state
+from divfree.models import RelativisticState
 from divfree.tensors import general_tensor_array
 
 from helpers import (IDENTITY_LADDERS, energy_density, euler_lagrange_identity,
                      limit_jump_states, normal_search_reference, pass_maxima, random_slab_grids,
                      rel_gap, same_bits, sampled_states, slab_budget, slab_results,
-                     trace_identity_gap)
+                     trace_identity_gap, typed_state)
 from test_acceptance import BROKEN_PAIRS, INVARIANT_PAIRS
 
 # criterion 01 gates the block forms, criterion 02 the invariant defects and
@@ -214,8 +215,22 @@ def test_unweighted_symmetry_defect_breaks_the_invariant_side(monkeypatch):
     # asymmetry of T itself lifts their defect off zero
     assert criterion_02_gate() == (True, True)
     fn = divfree.tensors.symmetry_defect
-    monkeypatch.setattr(fn, "__code__", rewritten(fn, "if S is not None:", "if False:"))
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, 'np.einsum("ab,...bc->...ac", S_inv, np.asarray(T, dtype=float))',
+        "np.asarray(T, dtype=float)"))
     assert not criterion_02_gate()[0]
+
+
+def test_lam_for_its_inverse_breaks_the_relativistic_tprime_forms(monkeypatch):
+    # Lam is its own inverse at c = 1, so only relativistic-powerlaw at
+    # c = 1.5 tells T' built on Lam from T' built on Lam^{-1}
+    forms = test_tensors.test_relativistic_tprime_forms_agree
+    cases = test_tensors.RELATIVISTIC_FORMS
+    assert not any(fails(forms, *case) for case in cases)
+    fn = divfree.tensors.assemble_relativistic
+    monkeypatch.setattr(fn, "__code__", rewritten(
+        fn, "(rho * Lrho - L) * model.Lam_inv", "(rho * Lrho - L) * model.Lam"))
+    assert [fails(forms, *case) for case in cases] == [False, True, False]
 
 
 def test_gap_for_pairing_breaks_the_witness_side(monkeypatch):
@@ -276,7 +291,7 @@ def test_stale_left_state_breaks_the_lightlike_search(monkeypatch):
     rho_L, _ = divfree.fields._left_state(model, M_LEFT)
     _, stale_T_L = divfree.fields._left_state(model, M_LEFT + [1e-6, 0.0, 0.0, 0.0])
 
-    def faulty(model, nu, m_left, rho_jump_min, left=None):
+    def faulty(model, nu, m_left, rho_jump_min, left):
         return real(model, nu, m_left, rho_jump_min, (rho_L, stale_T_L))
 
     monkeypatch.setattr(divfree.fields, "_family_residual", faulty)

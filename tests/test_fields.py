@@ -25,6 +25,7 @@ from divfree.fields import (
     _cd,
     _family_residual,
     _interior,
+    _left_state,
     _slabs,
     closedness_residual,
     div_T_residual,
@@ -95,7 +96,7 @@ def test_grid_rejects_a_degenerate_spacing(spacing):
         GridField(2, 1, (4, 4), spacing, (0.0, 0.0), np.zeros((4, 4, 2)))
 
 
-def _constant_variation(dims, value, margin=2):
+def _constant_variation(dims, value):
     """xi = value at every node, with the analytic pair (value, 0)."""
     d = len(dims)
 
@@ -103,7 +104,7 @@ def _constant_variation(dims, value, margin=2):
         return np.full(Y.shape, value), np.zeros(Y.shape + (d,))
 
     return VariationField(dims, (1.0 / dims[0],) * d, (0.0,) * d,
-                          np.full(tuple(dims) + (d,), value), func_jac, margin)
+                          np.full(tuple(dims) + (d,), value), func_jac)
 
 
 @pytest.mark.parametrize("spacing", DEGENERATE_SPACINGS)
@@ -115,6 +116,16 @@ def test_variation_rejects_a_degenerate_spacing(spacing):
                        _constant_variation((8, 8), 0.0).func_jac)
     with pytest.raises(ValueError, match="spacing"):
         bump_variation(2, (8, 8), spacing, seed=0)
+
+
+@pytest.mark.parametrize("frame", ({"spacing": (0.125,)}, {"origin": (0.0, 0.0, 5.0)}))
+def test_grids_and_variations_need_d_entries_per_axis(frame):
+    frame = {"dims": (8, 8), "spacing": (0.125, 0.125), "origin": (0.0, 0.0), **frame}
+    with pytest.raises(ValueError, match="must each have d entries"):
+        GridField(2, 1, values=np.zeros((8, 8, 2)), **frame)
+    with pytest.raises(ValueError, match="must each have d entries"):
+        VariationField(values=np.zeros((8, 8, 2)),
+                       func_jac=_constant_variation((8, 8), 0.0).func_jac, **frame)
 
 
 @pytest.mark.parametrize("spacing", DEGENERATE_SPACINGS)
@@ -538,12 +549,21 @@ def test_first_variation_needs_the_fields_own_grid(moved):
         first_variation(iso, g, var, eps=0.01)
 
 
+def test_divergence_pairing_needs_the_fields_own_grid():
+    # a bump at twice the field's spacing would pair xi at the wrong nodes
+    iso = build_model("iso-p1")
+    g = GridField.from_function(closed_trig_form(2, 1, 101), 2, 1, (16, 16), (1 / 16, 1 / 16))
+    var = bump_variation(2, (16, 16), (2 / 16, 2 / 16), seed=0)
+    with pytest.raises(ValueError, match="spacing and origin"):
+        divergence_pairing(iso, g, var)
+
+
 def test_unconfined_variation_flows_off_the_grid():
     iso = build_model("iso-p1")
     g = _gas_momentum_grid(8)
-    drift = _constant_variation((8, 8), 0.5, margin=0)
+    var = bump_variation(2, (8, 8), g.spacing, seed=0)
     with pytest.raises(FlowLeftGridError):
-        first_variation(iso, g, drift, eps=0.05)
+        first_variation(iso, g, var, eps=10.0)
 
 
 def test_pressure_imbalance_stays_above_its_floor():
@@ -685,9 +705,10 @@ def test_normal_search_lands_on_the_light_cone():
 
 def test_timelike_normals_keep_a_residual_floor():
     lim = build_model("relativistic-limit")
-    best = _family_residual(lim, np.array([1.0, 0.2, 0.0, 0.0]),
-                            np.array([2.0, 0.3, -0.1, 0.2]), 0.05)
-    assert best > 1e-3
+    m_left = np.array([2.0, 0.3, -0.1, 0.2])
+    best = _family_residual(lim, np.array([[1.0, 0.2, 0.0, 0.0]]), m_left, 0.05,
+                            _left_state(lim, m_left))
+    assert best[0] > 1e-3
 
 
 @pytest.mark.parametrize("name", ("relativistic-limit", "relativistic"))
@@ -699,10 +720,10 @@ def test_batched_objective_is_the_per_direction_loop_bit_for_bit(name):
     nus = np.vstack([[1.0, 1.0, 0.0, 0.0], [1.0, 0.2, 0.0, 0.0],
                      [0.2, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0],
                      rng.normal(size=(6, 4))])
-    batch = _family_residual(model, nus, m_left, 0.05)
+    left = _left_state(model, m_left)
+    batch = _family_residual(model, nus, m_left, 0.05, left)
     assert batch.shape == (len(nus),)
-    one_by_one = [_family_residual(model, nu, m_left, 0.05) for nu in nus]
-    assert all(type(v) is float for v in one_by_one)
+    one_by_one = [_family_residual(model, nu[None], m_left, 0.05, left)[0] for nu in nus]
     assert batch.tobytes() == np.array(one_by_one).tobytes()
     reference = [family_residual_loop(model, nu, m_left, 0.05) for nu in nus]
     assert batch.tobytes() == np.array(reference).tobytes()
@@ -714,7 +735,8 @@ def test_batched_objective_scores_a_normal_without_candidates_inf():
     lim = build_model("relativistic-limit")
     nus = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.2, 0.0, 0.0]])
     # no step of length <= 1 changes the density by 100
-    best = _family_residual(lim, nus, np.array([2.0, 0.3, -0.1, 0.2]), 100.0)
+    m_left = np.array([2.0, 0.3, -0.1, 0.2])
+    best = _family_residual(lim, nus, m_left, 100.0, _left_state(lim, m_left))
     assert best.shape == (2,) and np.isinf(best).all()
 
 
@@ -745,10 +767,11 @@ def test_a_one_angle_scan_is_not_refined(monkeypatch):
     assert rho_L == lim.rho_of(m_left)
     assert T_L.tobytes() == general_tensor_array(lim, momentum_to_coeffs(m_left[None, :])).tobytes()
     # what the golden section of the empty bracket a = b = 1e-3 returned,
-    # against a call that builds its own left state
+    # against a left state built again for the check
     nu = np.array([math.cos(1e-3), math.sin(1e-3), 0.0, 0.0])
     assert found["theta"] == 1e-3 and found["nu"].tobytes() == nu.tobytes()
-    assert found["residual"] == objective(lim, nu, m_left, 0.05)
+    assert found["residual"] == objective(lim, nu[None], m_left, 0.05,
+                                          _left_state(lim, m_left))[0]
 
 
 SEARCH_LEFT_STATES = ([2.0, 0.3, -0.1, 0.2], [1.7, -0.2, 0.35, 0.1],

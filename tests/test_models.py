@@ -24,10 +24,9 @@ from divfree.models import (
     RelativisticState,
     list_models,
     model_from_expression,
-    typed_state,
 )
 
-from helpers import energy_density, rel_gap, sampled_states, ultrarelativistic
+from helpers import energy_density, rel_gap, sampled_states, typed_state, ultrarelativistic
 
 BUILTIN = ("iso-p1", "minimal-surface", "gas", "gas-polytropic",
            "relativistic", "relativistic-powerlaw", "relativistic-limit",
