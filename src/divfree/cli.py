@@ -230,16 +230,13 @@ def cmd_invariance(args):
     return report, not report["agreement"]
 
 
-def _expectation_failed(case_report, min_order, orders=None):
-    # "not <=" and "not >=" rather than ">" and "<", so that a NaN residual fails
-    expected = case_report["expected"]
-    if expected == "zero":
-        return not case_report["residual"] <= case_report["tol"]
-    if expected == "floor":
-        return not case_report["residual"] >= case_report["floor"]
-    if expected == "order2" and orders is not None:
-        return (not orders) or min(orders) < min_order
-    return False
+def _fails(values, low=-np.inf, high=np.inf):
+    """The pass rule of every verdict but invariance's agreement: a check
+    fails unless it has at least one value and every value is finite and
+    inside [low, high].  A NaN bound holds no value."""
+    values = np.asarray(values, dtype=float)
+    return not (values.size and np.isfinite(values).all()
+                and ((low <= values) & (values <= high)).all())
 
 
 def cmd_verify(args):
@@ -251,12 +248,14 @@ def cmd_verify(args):
                 raise ValueError(f"--levels must be at least 2, not {args.levels}")
             ns = [args.n * (1 << k) for k in range(args.levels)]
             report = case_refinement(args.manufactured, ns)
-            failed = any(not np.isfinite(r["residual"])
-                         or _expectation_failed(r, args.min_order, report["orders"])
-                         for r in report["reports"])
+            case, residuals = report["reports"][0], report["residuals"]
         else:
             report = run_case(args.manufactured, args.n)
-            failed = _expectation_failed(report, args.min_order)
+            case, residuals = report, [report["residual"]]
+        # run_case reports a floor only for a floor case, a tol only for a zero case
+        failed = _fails(residuals, case.get("floor", -np.inf), case.get("tol", np.inf))
+        if args.refine and case["expected"] == "order2":
+            failed = failed or _fails(report["orders"], args.min_order)
         return report, failed
     if args.field:
         path = Path(args.field)
@@ -271,18 +270,17 @@ def cmd_verify(args):
                   "d": grid.d, "p": grid.p, "dims": list(grid.dims),
                   "nonfinite_cells": grid.nonfinite_cells(),
                   "closedness_residual": closedness_residual(grid)}
-        worst = report["closedness_residual"]
+        residuals = [report["closedness_residual"]]
         if args.model:
             model = build_model(args.model, parse_params(args.params))
             rows = div_T_residual(model, grid)
             report["model"] = model.name
             report["div_rows"] = rows
             report["div_residual"] = float(rows.max())
-            worst = np.maximum(worst, report["div_residual"])
-        # a non-finite cell fails even where no residual reads it, and a NaN
-        # residual fails: it is not <= any tolerance
-        failed = (report["nonfinite_cells"] > 0
-                  or (args.tol is not None and not worst <= args.tol))
+            residuals.append(report["div_residual"])
+        # a non-finite cell fails even where no residual reads it
+        failed = (_fails([report["nonfinite_cells"]], 0, 0)
+                  or _fails(residuals, high=np.inf if args.tol is None else args.tol))
         if args.tol is not None:
             report["tol"] = args.tol
         return report, failed
@@ -295,7 +293,10 @@ def cmd_variation(args):
     report = variation_study(args.d, args.p, seed=args.seed, levels=args.levels,
                              n0=args.n, eps0=args.eps)
     report["min_order"] = args.min_order
-    failed = (not report["orders"]) or min(report["orders"]) < args.min_order
+    # the orders skip a level whose error is not positive, so a NaN error
+    # fails on its own
+    failed = (_fails([level["error"] for level in report["levels"]])
+              or _fails(report["orders"], args.min_order))
     return report, failed
 
 
@@ -308,8 +309,7 @@ def cmd_jump(args):
                                          coarse=args.coarse)
         report["model"] = model.name
         report["m_left"] = np.asarray(m_left, dtype=float)
-        # a NaN residual fails: it is not <= any tolerance
-        return report, not report["residual"] <= args.tol
+        return report, _fails([report["residual"]], high=args.tol)
     if not (args.left and args.right and args.normal):
         raise ValueError("jump needs --m-left (search) or --left/--right/--normal")
     left = _parse_state(model, args.left)
@@ -317,7 +317,7 @@ def cmd_jump(args):
     nu = _parse_numbers("--normal", args.normal)
     report = rankine_hugoniot(model, left, right, nu)
     report["model"] = model.name
-    return report, not float(np.max(report["row_residuals"])) <= args.tol
+    return report, _fails(report["row_residuals"], high=args.tol)
 
 
 def cmd_models(args):

@@ -34,6 +34,13 @@ def observed_order(coarse, fine):
     return math.log2(coarse / fine)
 
 
+def observed_orders(values):
+    """Orders between the neighbours of a refinement ladder, skipping each
+    pair where either value is not positive: zero, negative or NaN."""
+    return [observed_order(values[k], values[k + 1]) for k in range(len(values) - 1)
+            if values[k] > 0 and values[k + 1] > 0]
+
+
 # ---------------------------------------------------------------------------
 # grid containers
 

@@ -39,11 +39,8 @@ def check_metric(S):
 
 def lie_basis(S):
     """The normalized generators S^{-1}(E_ab - E_ba) of the algebra of O(S),
-    as a dict keyed by the index pair "ab" (a < b).
-
-    Postconditions checked on construction: each generator satisfies
-    N^T S + S N = 0 to near roundoff and the set is linearly independent
-    (d(d-1)/2 members).  Below dimension 2 there are none: a ValueError.
+    as a dict keyed by the index pair "ab" (a < b).  Below dimension 2
+    there are none: a ValueError.
     """
     S = check_metric(S)
     d = S.shape[0]
@@ -57,13 +54,7 @@ def lie_basis(S):
             N[:, b] = S_inv[:, a]
             N[:, a] = -S_inv[:, b]
             N /= np.linalg.norm(N)
-            resid = np.abs(N.T @ S + S @ N).max()
-            if resid > 1e-12 * (1.0 + np.abs(S).max()):
-                raise AssertionError("generator fails the algebra relation")
             gens[f"{a}{b}"] = N
-    stacked = np.stack([N.ravel() for N in gens.values()])
-    if np.linalg.matrix_rank(stacked, tol=1e-10) != len(gens):
-        raise AssertionError("generators are linearly dependent")
     return gens
 
 

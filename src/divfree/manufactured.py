@@ -24,7 +24,7 @@ from .fields import (
     entropy_transport_residual,
     euler_lagrange_rows,
     first_variation,
-    observed_order,
+    observed_orders,
 )
 from .models import LagrangianModel, build_model
 
@@ -193,11 +193,8 @@ def case_refinement(name, resolutions):
     """Residuals across resolutions plus observed orders between neighbours."""
     reports = [run_case(name, n) for n in resolutions]
     residuals = [r["residual"] for r in reports]
-    orders = [observed_order(residuals[k], residuals[k + 1])
-              for k in range(len(residuals) - 1)
-              if residuals[k] > 0 and residuals[k + 1] > 0]
     return {"case": name, "resolutions": list(resolutions),
-            "residuals": residuals, "orders": orders, "reports": reports}
+            "residuals": residuals, "orders": observed_orders(residuals), "reports": reports}
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +385,5 @@ def variation_study(d, p, seed=0, levels=3, n0=8, eps0=0.01):
         numeric, pairing = first_variation(model, grid, var, eps)
         rows.append({"n": n, "eps": eps, "numeric": numeric,
                      "pairing": pairing, "error": abs(numeric - pairing)})
-    errors = [r["error"] for r in rows]
-    orders = [observed_order(errors[k], errors[k + 1])
-              for k in range(len(errors) - 1) if errors[k + 1] > 0]
+    orders = observed_orders([r["error"] for r in rows])
     return {"d": d, "p": p, "seed": seed, "levels": rows, "orders": orders}

@@ -470,6 +470,55 @@ def test_verify_fails_a_ladder_with_a_nan_level(capsys, monkeypatch):
     assert code == 2 and json.loads(out)["orders"] == [2.0]
 
 
+def test_verify_fails_a_nan_residual_of_a_single_order2_run(capsys, monkeypatch):
+    # one run of an order-2 case measures no order, but its residual must
+    # still be finite
+    monkeypatch.setattr("divfree.manufactured.closedness_residual", lambda grid: np.nan)
+    code, out = run_cli(capsys, ["verify", "--manufactured", "closed-cubic", "-n", "6"])
+    assert code == 2 and json.loads(out)["residual"] == "nan"
+
+
+@pytest.mark.parametrize("n", (8, 16, 32))
+def test_variation_fails_a_nan_level(capsys, monkeypatch, n):
+    # the orders skip a pair with a NaN error, so the finite levels alone
+    # could read as order 2
+    real = divfree.manufactured.first_variation
+
+    def first_variation(model, grid, var, eps):
+        numeric, pairing = real(model, grid, var, eps)
+        return (np.nan if grid.dims[0] == n else numeric), pairing
+
+    monkeypatch.setattr("divfree.manufactured.first_variation", first_variation)
+    code, out = run_cli(capsys, ["variation", "--d", "2", "--p", "1", "-n", "8",
+                                 "--levels", "3"])
+    assert code == 2
+    assert [level["n"] for level in json.loads(out)["levels"] if level["error"] == "nan"] == [n]
+
+
+@pytest.mark.parametrize("case, flags, key, residual", (
+    ("overflow", ["--model", "iso-p1"], "div_residual", "nan"),
+    ("infinite", [], "closedness_residual", "inf"),
+), ids=("overflow", "infinite"))
+def test_verify_field_fails_a_nonfinite_residual_of_finite_cells(tmp_path, capsys, case,
+                                                                 flags, key, residual):
+    # finite cells whose residual is not: every coefficient at 1e200
+    # overflows iso-p1's tensor into NaN rows, and two opposite coefficients
+    # at 1e308 overflow a closedness difference into inf
+    from divfree import GridField, save_grid
+
+    g = GridField(2, 1, (9, 9), (0.125, 0.125), (0.0, 0.0), np.zeros((9, 9, 2)))
+    if case == "overflow":
+        g.values[...] = 1e200
+    else:
+        g.values[4, 3, 0], g.values[4, 5, 0] = -1e308, 1e308
+    path = str(save_grid(g, tmp_path / "grid.json"))
+    for tol in ([], ["--tol", "1e-8"]):
+        code, out = run_cli(capsys, ["verify", "--field", path, *flags, *tol])
+        report = json.loads(out)
+        assert code == 2
+        assert report["nonfinite_cells"] == 0 and report[key] == residual
+
+
 def test_pretty_output_renders_scalars(capsys):
     code, out = run_cli(capsys, ["tensor", "--model", "gas",
                                  "--state", '{"rho": 1.0, "q": [1.0]}',

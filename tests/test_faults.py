@@ -9,12 +9,14 @@ import textwrap
 
 import numpy as np
 
+import divfree.cli
 import divfree.conventions
 import divfree.fields
 import divfree.invariance
 import divfree.manufactured
 import divfree.models
 import divfree.tensors
+import test_cli
 import test_fields
 import test_invariance
 import test_tensors
@@ -453,3 +455,14 @@ def test_wrong_exponent_breaks_the_powerlaw_pressure(monkeypatch):
         fn, "profile = lambda rho, s: rho ** kappa",
         "profile = lambda rho, s: rho ** (kappa * 1.001)"))
     assert powerlaw_pressure_gap() > PRESSURE_TOL
+
+
+def test_dropped_finiteness_clause_passes_an_infinite_residual(monkeypatch, tmp_path, capsys):
+    # NaN fails every comparison, so only an infinite residual inside the
+    # upper bound inf of a verify --field run without --tol shows the clause
+    test = test_cli.test_verify_field_fails_a_nonfinite_residual_of_finite_cells
+    args = (tmp_path, capsys, "infinite", [], "closedness_residual", "inf")
+    assert not fails(test, *args)
+    fn = divfree.cli._fails
+    monkeypatch.setattr(fn, "__code__", rewritten(fn, "np.isfinite(values).all()", "True"))
+    assert fails(test, *args)

@@ -69,6 +69,24 @@ def test_observed_order_is_a_log_ratio():
     assert observed_order(1.0, 1.0) == 0.0
 
 
+def _three_level_ladder(kind):
+    """(orders, the values they are read from) of a 3-level ladder."""
+    if kind == "variation":
+        study = variation_study(2, 1, seed=0, levels=3, n0=8)
+        return study["orders"], [level["error"] for level in study["levels"]]
+    study = case_refinement("closed-cubic", [8, 16, 32])
+    return study["orders"], study["residuals"]
+
+
+@pytest.mark.parametrize("kind", ("variation", "catalog"))
+def test_three_level_orders_follow_from_the_reported_values(kind):
+    # the second order reads the second and third levels, which a two-level
+    # ladder never reaches
+    orders, values = _three_level_ladder(kind)
+    assert all(v > 0 for v in values)
+    assert orders == [math.log2(values[k] / values[k + 1]) for k in range(2)]
+
+
 def test_grid_construction_and_coordinates():
     g = _gas_momentum_grid(6)
     assert g.values.shape == (6, 6, 2)

@@ -90,6 +90,8 @@ def test_lie_basis_solves_the_metric_equation(S):
     assert list(basis) == [f"{a}{b}" for a in range(d) for b in range(a + 1, d)]
     for N in basis.values():
         assert np.abs(N.T @ S + S @ N).max() < 1e-12
+    stacked = np.stack([N.ravel() for N in basis.values()])
+    assert np.linalg.matrix_rank(stacked, tol=1e-10) == d * (d - 1) // 2
     assert commutator_closure_residual(list(basis.values())) < 1e-12
 
 

@@ -326,6 +326,8 @@ def test_expression_whitelist_rejects(expr):
 
 @pytest.mark.parametrize("rho", (-1.0, 0.0))
 def test_gas_outside_positive_density_is_a_domain_error(rho):
+    with pytest.raises(ValueError, match="mass density must be positive"):
+        GasState(rho=rho, q=[1.0])
     gas = build_model("gas")
     A = momentum_to_coeffs(np.array([rho, 1.0]))
     for call in (gas.evaluate, gas.gradient, ad_gradient(gas)):
