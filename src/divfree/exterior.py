@@ -153,9 +153,10 @@ def pullback_matrix(M, d, p):
     if M.shape[-2:] != (d, d):
         raise ValueError(f"matrix must be {d}x{d}, got {M.shape[-2:]}")
     out = np.empty(M.shape[:-2] + (basis.size, basis.size))
-    for a, I in enumerate(basis.tuples):
-        for b, J in enumerate(basis.tuples):
-            out[..., a, b] = minor(M, I, J)
+    tuples = np.array(basis.tuples, dtype=np.intp).reshape(basis.size, 1, p)
+    for a, I in enumerate(tuples[:, 0]):
+        # row a's minors at once: the (..., C, p, p) stack of M[I, J] over J
+        out[..., a, :] = _det_batch(M[..., I[:, None], tuples])
     return out
 
 

@@ -36,9 +36,9 @@ def observed_order(coarse, fine):
 
 def observed_orders(values):
     """Orders between the neighbours of a refinement ladder, skipping each
-    pair where either value is not positive: zero, negative or NaN."""
+    pair where either value is not finite and positive, NaN and inf included."""
     return [observed_order(values[k], values[k + 1]) for k in range(len(values) - 1)
-            if values[k] > 0 and values[k + 1] > 0]
+            if 0 < values[k] < math.inf and 0 < values[k + 1] < math.inf]
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def _grid_frame(d, dims, spacing, origin):
 def _node_coordinates(dims, spacing, origin):
     """Node coordinates of a uniform grid, shape dims + (d,)."""
     axes = [o + h * np.arange(n) for n, h, o in zip(dims, spacing, origin)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
 
 
 @dataclass
@@ -420,28 +420,18 @@ def _flow_with_jacobian(var, Y, tau):
     against the pairing (test_flow_substeps_move_the_first_variation_little
     in tests/test_fields.py).
 
-    G and its stages are component-major, (d, d, N), so J @ G is d^3
-    multiply-adds on contiguous rows; G returns as an (N, d, d) view.
+    G is an (N, d, d) view of component-major (d, d, N) memory, which its
+    stages keep, so each G[..., i, k] is one contiguous row.
     """
     d = Y.shape[-1]
     w = np.array(Y, dtype=float)
-    G = np.zeros((d, d) + Y.shape[:-1])
-    G[range(d), range(d)] = 1.0
+    G = np.moveaxis(np.zeros((d, d) + Y.shape[:-1]), (0, 1), (-2, -1))
+    G[..., range(d), range(d)] = 1.0
     h = -tau / _FLOW_SUBSTEPS
-    scratch = np.empty(Y.shape[:-1])
 
     def rhs(wc, Gc):
         v, J = var.value_and_jacobian(wc)
-        J = np.moveaxis(J, (-2, -1), (0, 1))
-        JG = np.empty_like(Gc)
-        for i in range(d):
-            for k in range(d):
-                acc = JG[i, k]
-                np.multiply(J[i, 0], Gc[0, k], out=acc)
-                for j in range(1, d):
-                    np.multiply(J[i, j], Gc[j, k], out=scratch)
-                    np.add(acc, scratch, out=acc)
-        return v, JG
+        return v, np.einsum("...ij,...jk->...ik", J, Gc)
 
     for _ in range(_FLOW_SUBSTEPS):
         k1 = rhs(w, G)
@@ -450,7 +440,7 @@ def _flow_with_jacobian(var, Y, tau):
         k4 = rhs(w + h * k3[0], G + h * k3[1])
         w = w + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         G = G + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return w, np.moveaxis(G, (0, 1), (-2, -1))
+    return w, G
 
 
 def _require_same_grid(grid, var):

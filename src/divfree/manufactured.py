@@ -305,8 +305,7 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
                 if ax != j:
                     dp = dp * bumps[ax]
             prod_d.append(dp)
-        # filled component-major, so each entry is one contiguous row; the
-        # flow turns the returned (..., d, d) view back into those rows
+        # filled component-major, so each entry is one contiguous row
         jac = np.empty((d, d) + Y.shape[:-1])
         for i in range(d):
             # d/darg of 0.5 sin is 0.5 cos; the chain factor 2 pi k_ij is

@@ -522,7 +522,7 @@ _BINOPS = {
     ast.Div: lambda a, b: a / b,
     ast.Pow: lambda a, b: a ** b,
 }
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
 def _compile_expression(expr, names):
@@ -561,9 +561,13 @@ def _compile_expression(expr, names):
             constant = _CONSTANTS[key]
             return lambda env: constant
         if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            # IEEE doubles, so 1/0 and 2.0^2000 give inf, not a Python error
+            if type(node.value) not in (int, float):
                 raise ValueError("only numeric constants allowed")
-            constant = node.value
+            try:
+                constant = np.float64(node.value)
+            except OverflowError:  # an integer literal past the largest double
+                constant = np.float64(np.inf)
             return lambda env: constant
         raise ValueError(f"syntax {type(node).__name__} not allowed")
 

@@ -112,9 +112,8 @@ def general_tensor_array(model, A, s=0.0):
         L = np.asarray(model.evaluate(A_b, s_b), dtype=float)
         G = model.gradient(A_b, s_b)
         # component-major copies, as lists so that picking a row costs no
-        # numpy indexing; transpose is np.moveaxis without its per-call overhead
-        A_b = list(A_b.transpose(-1, *range(A_b.ndim - 1)).copy())
-        G = list(G.transpose(-1, *range(G.ndim - 1)).copy())
+        # numpy indexing
+        A_b, G = (list(_slots_first(X).copy()) for X in (A_b, G))
         scratch = np.empty(out.shape[2:])
         # each entry sums its terms onto 0.0 in table order, then takes the
         # diagonal's L or 0.0 minus that sum: the cell-major loop's arithmetic

@@ -425,6 +425,22 @@ def test_bad_model_input_is_an_input_error(capsys, argv):
     assert_one_error_line(capsys, argv)
 
 
+@pytest.mark.parametrize("expr, message", (
+    ("A0 + 1/0", "tensor entries must be finite"),
+    ("A0 + 2.0^2000", "tensor entries must be finite"),
+    ("A0 + 9^9^7", "tensor entries must be finite"),
+    ("A0 + 1" + "0" * 400, "tensor entries must be finite"),
+    ("True * A0", "only numeric constants allowed"),
+), ids=("divide-by-zero", "overflow", "tower", "long-literal", "bool"))
+def test_user_expr_constants_are_ieee_doubles(capsys, expr, message):
+    # 1/0, 2.0^2000 and a 401-digit literal are inf, as in numpy, not a
+    # Python error, and 9^9^7 overflows at once, not after an exact power of
+    # 4.6 million digits
+    line = assert_one_error_line(capsys, ["tensor", "--model", "user-expr", "--params",
+                                          f"expr={expr},d=2,p=1", "--state", '{"coeffs": [1, 2]}'])
+    assert line == f"error: {message}"
+
+
 @pytest.mark.parametrize("model, params", (("iso-p1", "d=1"),
                                            ("user-expr", "expr=A0^2,d=1,p=1")))
 def test_invariance_in_one_dimension_is_an_input_error(capsys, model, params):
@@ -468,6 +484,20 @@ def test_verify_fails_a_ladder_with_a_nan_level(capsys, monkeypatch):
     code, out = run_cli(capsys, ["verify", "--manufactured", "closed-cubic",
                                  "--refine", "-n", "8", "--levels", "3"])
     assert code == 2 and json.loads(out)["orders"] == [2.0]
+
+
+@pytest.mark.parametrize("n", (8, 32))
+def test_verify_fails_a_ladder_with_an_infinite_level(capsys, monkeypatch, n):
+    # the orders skip the infinite level, which fails through its own
+    # residual: its pair has no order, neither inf nor log2 of 0
+    real = divfree.manufactured.closedness_residual
+    monkeypatch.setattr("divfree.manufactured.closedness_residual",
+                        lambda grid: np.inf if grid.dims[0] == n else real(grid))
+    code, out = run_cli(capsys, ["verify", "--manufactured", "closed-cubic",
+                                 "--refine", "-n", "8", "--levels", "3"])
+    report = json.loads(out)
+    assert code == 2 and report["orders"] == [2.0]
+    assert [r["residual"] for r in report["reports"]].count("inf") == 1
 
 
 def test_verify_fails_a_nan_residual_of_a_single_order2_run(capsys, monkeypatch):
