@@ -31,7 +31,7 @@ from .fields import (
 )
 from .invariance import invariance_symmetry_check
 from .manufactured import case_refinement, list_cases, run_case, variation_study
-from .models import build_model, list_models
+from .models import RelativisticModel, build_model, list_models
 from .tensors import assemble, symmetry_defect
 
 
@@ -133,14 +133,16 @@ def parse_params(text):
     return out
 
 
-def _metric_for(args, d):
+def _metric_for(args, model):
+    """The --metric matrix; minkowski takes the model's light speed, 1 for a
+    model without one."""
     if args.metric is None:
         return None
     if args.metric == "euclidean":
-        return euclidean_metric(d)
-    if d != 4:
+        return euclidean_metric(model.d)
+    if model.d != 4:
         raise ValueError("the minkowski metric applies to dimension 4")
-    return minkowski_metric(c=args.c)
+    return minkowski_metric(c=model.c if isinstance(model, RelativisticModel) else 1.0)
 
 
 def _is_numeric(value):
@@ -212,7 +214,7 @@ def cmd_tensor(args):
         "coeffs": state.coeffs,
         "density": float(model.evaluate(state.coeffs, state.s)),
     }
-    S = _metric_for(args, model.d)
+    S = _metric_for(args, model)
     if S is not None:
         report["metric"] = S
         report["symmetry_defect"] = symmetry_defect(report["tensor"], S)
@@ -221,7 +223,7 @@ def cmd_tensor(args):
 
 def cmd_invariance(args):
     model = build_model(args.model, parse_params(args.params))
-    S = _metric_for(args, model.d)
+    S = _metric_for(args, model)
     if S is None:
         S = euclidean_metric(model.d)
     report = invariance_symmetry_check(model, S, n_states=args.n_states, seed=args.seed,
@@ -348,9 +350,8 @@ def _build_parser():
                        help="comma separated key=value model parameters")
         if metric:
             p.add_argument("--metric", choices=("euclidean", "minkowski"),
-                           default=None)
-            p.add_argument("--c", type=float, default=1.0,
-                           help="light speed for the minkowski metric")
+                           default=None,
+                           help="minkowski takes the model's light speed c")
 
     p = add("tensor", help="assemble the tensor at one state")
     common(p, metric=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -189,27 +190,37 @@ def load_grid(path):
 
 def load_grid_csv(path, d, p, spacing):
     """Small-field CSV import: columns i0..i{d-1}, A_<tuple digits>..., s;
+    every row holds the header's columns, the indices are integers >= 0 and
     the grid's origin is 0."""
     path = Path(path)
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path.name} needs a header and at least one row")
     header = [h.strip() for h in lines[0].split(",")]
     coord_cols = [header.index(f"i{a}") for a in range(d)]
     comp_cols = [header.index("A_" + name) for name in form_basis(d, p).names]
     s_col = header.index("s") if "s" in header else None
-    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    idx = np.array([[int(r[c]) for c in coord_cols] for r in rows])
+    rows = [ln.split(",") for ln in lines[1:]]
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"row {k} of {path.name} holds {len(row)} columns, "
+                             f"not the header's {len(header)}")
+    table = np.array(rows, dtype=float)
+    idx = table[:, coord_cols]
+    if not (np.isfinite(idx).all() and (idx >= 0).all() and (idx == np.floor(idx)).all()):
+        raise ValueError(f"the cell indices in {path.name} must be integers >= 0")
+    idx = idx.astype(np.int64)
     dims = tuple(int(n) for n in idx.max(axis=0) + 1)
-    counts = np.bincount(np.ravel_multi_index(idx.T, dims), minlength=math.prod(dims))
+    flat = np.ravel_multi_index(idx.T, dims)
+    counts = np.bincount(flat, minlength=math.prod(dims))
     for what, bad in (("duplicate", counts > 1), ("missing", counts == 0)):
         if bad.any():
             cell = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), dims))
             raise ValueError(f"{what} cell {cell} in {path.name}")
-    values = np.zeros(dims + (len(comp_cols),))
-    entropy = np.zeros(dims) if s_col is not None else None
-    for r, ij in zip(rows, idx):
-        values[tuple(ij)] = [r[c] for c in comp_cols]
-        if s_col is not None:
-            entropy[tuple(ij)] = r[s_col]
+    cells = np.empty_like(table)
+    cells[flat] = table
+    values = cells[:, comp_cols].reshape(dims + (len(comp_cols),))
+    entropy = cells[:, s_col].reshape(dims) if s_col is not None else None
     return GridField(d, p, dims, tuple(spacing), (0.0,) * d, values, entropy)
 
 
@@ -369,43 +380,44 @@ def poynting_residual(model, grid):
 class VariationField:
     """A compactly supported velocity field for flow variations.
 
-    ``values`` samples the field on the nodes of a grid and must vanish on
-    the two nodes nearest every boundary.  ``func_jac(Y)``
-    returns the field and its Jacobian (..., d, d) at arbitrary points Y
-    (..., d); the flow integrator reads only that analytic pair.
+    ``func_jac(Y)`` returns the field and its Jacobian (..., d, d) at points
+    Y (..., d).  One pass over the grid's nodes at first use gives ``values``,
+    which must vanish on the two nodes nearest every boundary, and
+    ``moving``, the nodes where the field or its Jacobian is nonzero.
     """
 
     dims: tuple
     spacing: tuple
     origin: tuple
-    values: np.ndarray
     func_jac: object
 
     def __post_init__(self):
-        d = len(self.dims)
         self.dims, self.spacing, self.origin = _grid_frame(
-            d, self.dims, self.spacing, self.origin)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.dims + (d,):
-            raise ValueError(f"values must have shape {self.dims + (d,)}")
-        for a in range(d):
-            rows = np.moveaxis(self.values, a, 0)
-            if rows[:2].any() or rows[self.dims[a] - 2:].any():
-                raise ValueError("variation must vanish on a 2-node margin")
+            len(self.dims), self.dims, self.spacing, self.origin)
 
     def value_and_jacobian(self, Y):
         v, J = self.func_jac(Y)
         return np.asarray(v, dtype=float), np.asarray(J, dtype=float)
 
-    @classmethod
-    def from_function(cls, func, func_jac, dims, spacing):
-        """Samples of ``func`` on a grid at the origin; ``func_jac(Y) ->
-        (value, Jacobian)`` is the analytic pair the flow integrator uses."""
-        spacing = _positive_spacing(spacing)
-        origin = (0.0,) * len(dims)
-        Y = _node_coordinates(dims, spacing, origin)
-        return cls(tuple(dims), spacing, origin,
-                   np.asarray(func(Y), dtype=float), func_jac)
+    @cached_property
+    def _samples(self):
+        d = len(self.dims)
+        v, J = self.value_and_jacobian(_node_coordinates(self.dims, self.spacing, self.origin))
+        if v.shape != self.dims + (d,):
+            raise ValueError(f"values must have shape {self.dims + (d,)}")
+        for a in range(d):
+            rows = np.moveaxis(v, a, 0)
+            if rows[:2].any() or rows[self.dims[a] - 2:].any():
+                raise ValueError("variation must vanish on a 2-node margin")
+        return v, np.any(v != 0.0, axis=-1) | np.any(J != 0.0, axis=(-2, -1))
+
+    @property
+    def values(self):
+        return self._samples[0]
+
+    @property
+    def moving(self):
+        return self._samples[1]
 
 
 _FLOW_SUBSTEPS = 2
@@ -469,11 +481,8 @@ def first_variation(model, grid, var, eps):
     """
     _require_same_grid(grid, var)
     d = grid.d
-    Y = grid.coordinates().reshape(-1, d)
-    v, J = var.value_and_jacobian(Y)
-    moving = np.any(v != 0.0, axis=-1) | np.any(J != 0.0, axis=(-2, -1))
-    del v, J    # 8 MB of J at 48^3 that the flows below never read
-    Y = Y[moving]
+    moving = var.moving.reshape(-1)
+    Y = grid.coordinates().reshape(-1, d)[moving]
     A = grid.values.reshape(-1, grid.n_coeffs)[moving]
     s = grid.entropy.reshape(-1)[moving] if grid.entropy is not None else 0.0
     vol = grid.cell_volume
@@ -505,9 +514,8 @@ def divergence_pairing(model, grid, var):
     """+ sum_cells xi_i (Div T)_i vol, the summation-by-parts partner of the
     tensor pairing; equal to it exactly for margin-supported variations."""
     _require_same_grid(grid, var)
-    T = tensor_grid(model, grid)
-    rows = div_rows(T, grid.spacing, grid.d)
     xi_int = _interior(var.values, grid.d)
+    rows = div_rows(tensor_grid(model, grid), grid.spacing, grid.d)
     return float(np.sum(xi_int * rows) * grid.cell_volume)
 
 

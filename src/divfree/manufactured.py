@@ -278,7 +278,7 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
     phases = rng.uniform(0.0, 2 * math.pi, d)
     mid = ((b - a) / 2.0) ** 8
 
-    def pieces(Y):
+    def func_jac(Y):
         # the clamp zeroes each profile and its derivative off the support
         ys = [np.maximum((Y[..., ax] - a) * (b - Y[..., ax]), 0.0) for ax in range(d)]
         bumps = []
@@ -291,13 +291,6 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
         args = [2 * math.pi * (Y @ ks[i]) + phases[i] for i in range(d)]
         mods = [cs[i] + 0.5 * np.sin(arg) for i, arg in enumerate(args)]
         value = np.stack([prod * mod for mod in mods], axis=-1)
-        return ys, bumps, prod, args, mods, value
-
-    def func(Y):
-        return pieces(Y)[-1]
-
-    def func_jac(Y):
-        ys, bumps, prod, args, mods, value = pieces(Y)
         prod_d = []
         for j, y in enumerate(ys):
             dp = 4.0 * (y * y * y) * ((a + b) - 2.0 * Y[..., j]) / mid
@@ -319,7 +312,7 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
                     col -= prod_dmod
         return value, np.moveaxis(jac, (0, 1), (-2, -1))
 
-    return VariationField.from_function(func, func_jac, dims, spacing)
+    return VariationField(tuple(dims), spacing, (0.0,) * d, func_jac)
 
 
 def study_model(d, p, seed):

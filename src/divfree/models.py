@@ -16,6 +16,7 @@ import ast
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,6 +333,8 @@ class RelativisticModel(LagrangianModel):
     state_type = RelativisticState
 
     def __init__(self, profile, c=1.0, name="relativistic", params=None):
+        if not c > 0.0:
+            raise ValueError(f"light speed c must be positive, not {c!r}")
         self.profile = profile
         self.c = c
         self.Lam = minkowski_metric(c)
@@ -616,8 +619,24 @@ def _integer(key, value):
     raise ValueError(f"parameter {key} must be an integer, not {value!r}")
 
 
+def _typed(key, value, default):
+    """A parameter cast to its default's type: an int default takes an
+    integer, a float default a finite real number (not a bool), and a None
+    default is left to the factory."""
+    if isinstance(default, int):
+        return _integer(key, value)
+    if isinstance(default, float):
+        # abs(value) <= the largest double is False for NaN, inf and an
+        # integer too large for a double
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):
+            return float(value)
+        raise ValueError(f"parameter {key} must be a finite number, not {value!r}")
+    return value
+
+
 def _polytropic_gas(name, n, gamma, mu):
-    return GasModel(n=_integer("n", n), internal_energy=polytropic_energy(gamma, mu),
+    return GasModel(n=n, internal_energy=polytropic_energy(gamma, mu),
                     name=name, params={"gamma": gamma, "mu": mu})
 
 
@@ -629,12 +648,12 @@ def _user_expr_factory(expr=None, d=None, p=None):
 
 REGISTRY = {
     "iso-p1": ModelEntry(lambda d=2: IsotropicModel(
-                             _integer("d", d), lambda r: 0.5 * r * r,
+                             d, lambda r: 0.5 * r * r,
                              lambda r: np.ones_like(np.asarray(r, dtype=float)), "iso-p1"),
                          "isotropic 1-form density L = |A|^2 / 2"),
     # slope/r = 1/sqrt(1 + r^2) is smooth through the origin
     "minimal-surface": ModelEntry(lambda d=3: IsotropicModel(
-                                      _integer("d", d), lambda r: dualnum.sqrt(1.0 + r * r),
+                                      d, lambda r: dualnum.sqrt(1.0 + r * r),
                                       lambda r: 1.0 / np.sqrt(1.0 + r * r), "minimal-surface"),
                                   "area integrand L = sqrt(1 + |A|^2)"),
     "gas": ModelEntry(lambda n=1, gamma=2.0, mu=0.0: _polytropic_gas("gas", n, gamma, mu),
@@ -643,12 +662,12 @@ REGISTRY = {
                                  _polytropic_gas("gas-polytropic", n, gamma, mu),
                                  "gas dynamics with entropy-coupled polytropic g"),
     "relativistic": ModelEntry(lambda kappa=1.5, c=1.0: model_relativistic_powerlaw(
-                                   kappa=float(kappa), c=float(c), name="relativistic"),
+                                   kappa=kappa, c=c, name="relativistic"),
                                "relativistic gas, L = rho^kappa"),
     "relativistic-powerlaw": ModelEntry(lambda kappa=4.0 / 3.0, c=1.0, mu=0.0:
-                                        model_relativistic_powerlaw(float(kappa), float(c), float(mu)),
+                                        model_relativistic_powerlaw(kappa, c, mu),
                                         "power-law relativistic gas, p = (kappa-1) e c^2"),
-    "relativistic-limit": ModelEntry(lambda c=1.0: model_relativistic_limit(float(c)),
+    "relativistic-limit": ModelEntry(lambda c=1.0: model_relativistic_limit(c),
                                      "limit case L = rho^2 (light-like jumps)"),
     "maxwell-linear": ModelEntry(lambda: model_maxwell_linear(),
                                  "vacuum electromagnetism, L = (|E|^2 - |B|^2)/2"),
@@ -664,12 +683,13 @@ def build_model(name, params=None):
     if name not in REGISTRY:
         raise KeyError(f"unknown model {name!r}; known: {sorted(REGISTRY)}")
     entry = REGISTRY[name]
+    defaults = entry.defaults
     params = params or {}
-    unknown = sorted(set(params) - set(entry.defaults))
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"model {name} has no parameter {', '.join(unknown)}; "
-                         f"it takes {', '.join(entry.defaults) or 'none'}")
-    return entry.factory(**params)
+                         f"it takes {', '.join(defaults) or 'none'}")
+    return entry.factory(**{k: _typed(k, v, defaults[k]) for k, v in params.items()})
 
 
 def list_models():

@@ -238,6 +238,30 @@ MALFORMED_MANIFESTS = {
 }
 
 
+def _csv_3x3(last):
+    rows = [f"{i},{j},{i}.5,{j}.5" for i in range(3) for j in range(3)][:-1]
+    return "\n".join(["i0,i1,A_0,A_1"] + rows + [last]) + "\n"
+
+
+MALFORMED_CSVS = {
+    # int() would truncate 2.7 to 2 and place the row at cell (2, 2)
+    "fractional-index": _csv_3x3("2.7,2,2.5,2.5"),
+    "short-row": _csv_3x3("2,2,2.5"),
+    "inf-index": _csv_3x3("inf,2,2.5,2.5"),
+    "zero-bytes": "",
+    "header-only": "i0,i1,A_0,A_1\n",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CSVS)
+def test_malformed_csv_field_is_an_input_error(tmp_path, capsys, case):
+    path = tmp_path / "field.csv"
+    path.write_text(MALFORMED_CSVS[case])
+    line = assert_one_error_line(capsys, ["verify", "--field", str(path), "--d", "2", "--p", "1",
+                                          "--spacing", "0.5"])
+    assert "field.csv" in line
+
+
 @pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
 def test_malformed_grid_manifest_is_an_input_error(tmp_path, capsys, case):
     from divfree import GridField, save_grid
@@ -423,6 +447,34 @@ def assert_one_error_line(capsys, argv):
 ))
 def test_bad_model_input_is_an_input_error(capsys, argv):
     assert_one_error_line(capsys, argv)
+
+
+MOVING_STATE = '{"m": [2.0, 0.3, -0.1, 0.2]}'
+STATES = {"gas": '{"rho": 1.0, "q": [1.0]}', "relativistic": MOVING_STATE}
+
+
+@pytest.mark.parametrize("model, params", (
+    ("gas", "gamma=abc"), ("gas", "gamma=null"), ("gas", "mu=[1]"),
+    pytest.param("gas", "gamma=1" + "0" * 400, id="gas-gamma=10^400"),
+    ("relativistic", "c=true"), ("relativistic", "c=0"), ("relativistic", "c=-1"),
+))
+def test_float_parameters_are_finite_numbers(capsys, model, params):
+    # each float parameter is cast once, in build_model, and c must be positive
+    line = assert_one_error_line(capsys, ["tensor", "--model", model, "--params", params,
+                                          "--state", STATES[model]])
+    assert f" {params.split('=')[0]} must be" in line
+
+
+def test_minkowski_metric_takes_the_models_light_speed(capsys):
+    code, out = run_cli(capsys, ["invariance", "--model", "relativistic", "--params", "c=2",
+                                 "--metric", "minkowski"])
+    assert code == 0 and json.loads(out)["verdict"] == "invariant-symmetric"
+    code, out = run_cli(capsys, ["tensor", "--model", "relativistic", "--params", "c=2",
+                                 "--state", MOVING_STATE, "--metric", "minkowski"])
+    assert code == 0 and json.loads(out)["symmetry_defect"] < 1e-12
+    assert main(["invariance", "--model", "relativistic", "--metric", "minkowski",
+                 "--c", "2"]) == 1
+    assert "unrecognized arguments: --c 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("expr, message", (

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -121,17 +122,13 @@ def _constant_variation(dims, value):
     def func_jac(Y):
         return np.full(Y.shape, value), np.zeros(Y.shape + (d,))
 
-    return VariationField(dims, (1.0 / dims[0],) * d, (0.0,) * d,
-                          np.full(tuple(dims) + (d,), value), func_jac)
+    return VariationField(dims, (1.0 / dims[0],) * d, (0.0,) * d, func_jac)
 
 
 @pytest.mark.parametrize("spacing", DEGENERATE_SPACINGS)
 def test_variation_rejects_a_degenerate_spacing(spacing):
-    values = np.zeros((8, 8, 2))
-    values[3:5, 3:5] = 1.0
     with pytest.raises(ValueError, match="spacing"):
-        VariationField((8, 8), spacing, (0.0, 0.0), values,
-                       _constant_variation((8, 8), 0.0).func_jac)
+        VariationField((8, 8), spacing, (0.0, 0.0), _constant_variation((8, 8), 0.0).func_jac)
     with pytest.raises(ValueError, match="spacing"):
         bump_variation(2, (8, 8), spacing, seed=0)
 
@@ -142,8 +139,7 @@ def test_grids_and_variations_need_d_entries_per_axis(frame):
     with pytest.raises(ValueError, match="must each have d entries"):
         GridField(2, 1, values=np.zeros((8, 8, 2)), **frame)
     with pytest.raises(ValueError, match="must each have d entries"):
-        VariationField(values=np.zeros((8, 8, 2)),
-                       func_jac=_constant_variation((8, 8), 0.0).func_jac, **frame)
+        VariationField(func_jac=_constant_variation((8, 8), 0.0).func_jac, **frame)
 
 
 @pytest.mark.parametrize("spacing", DEGENERATE_SPACINGS)
@@ -469,8 +465,7 @@ def _crossing_variation(bump):
         J[..., 0] += v
         return t * v, J
 
-    return VariationField.from_function(lambda Y: func_jac(Y)[0], func_jac,
-                                        bump.dims, bump.spacing)
+    return VariationField(bump.dims, bump.spacing, bump.origin, func_jac)
 
 
 @pytest.mark.parametrize("d, p, n, crossing", ((2, 1, 16, False), (3, 2, 12, False),
@@ -554,7 +549,42 @@ def test_variation_validation():
     with pytest.raises(ValueError):
         first_variation(iso, g, small, eps=0.01)
     with pytest.raises(ValueError, match="margin"):
-        _constant_variation((8, 8), 1.0)
+        _constant_variation((8, 8), 1.0).values
+
+
+@pytest.mark.parametrize("check", (partial(first_variation, eps=0.01), divergence_pairing))
+def test_a_variation_off_its_margin_fails_before_any_flow(monkeypatch, check):
+    def no_flow(*args):
+        raise AssertionError("flowed a variation that breaks its margin")
+
+    monkeypatch.setattr(fields, "_flow_with_jacobian", no_flow)
+    monkeypatch.setattr(fields, "tensor_grid", no_flow)
+    with pytest.raises(ValueError, match="margin"):
+        check(build_model("iso-p1"), _gas_momentum_grid(8), _constant_variation((8, 8), 1.0))
+
+
+def test_a_variation_samples_its_grid_once():
+    # values, moving, the flows and both pairings share one pass over the
+    # nodes; every other call of the analytic pair is a flow stage on the
+    # moving nodes
+    n = 16
+    grid = GridField.from_function(closed_trig_form(2, 1, seed=101), 2, 1, (n, n), (1 / n, 1 / n))
+    bump = bump_variation(2, (n, n), grid.spacing, seed=202)
+    points = []
+
+    def func_jac(Y):
+        points.append(math.prod(Y.shape[:-1]))
+        return bump.func_jac(Y)
+
+    var = VariationField(bump.dims, bump.spacing, bump.origin, func_jac)
+    model = study_model(2, 1, seed=0)
+    moving = int(np.count_nonzero(var.moving))
+    assert var.values.shape == (n, n, 2) and points == [n * n]
+    first_variation(model, grid, var, eps=0.01)
+    divergence_pairing(model, grid, var)
+    assert 0 < moving < n * n
+    assert points[0] == n * n and set(points[1:]) == {moving}
+    assert len(points) == 1 + 2 * 4 * fields._FLOW_SUBSTEPS
 
 
 @pytest.mark.parametrize("moved", ({"spacing": (0.1, 0.1)}, {"origin": (0.0, 0.125)}))
