@@ -50,7 +50,9 @@ the curl of dL/dm for p = d - 1 and (div D, curl H - d/dt D) for Maxwell 2-forms
 
 Pullback direction.  Coefficients transform by B_J = sum_I A_I minor(M, I, J),
 giving (M1 @ M2)^* = M2^* o M1^*; the infinitesimal action is its exact
-t-derivative along expm(t N) (for p = 1 this is B = N^T A).
+t-derivative along expm(t N) (for p = 1 this is B = N^T A).  The pullback by
+G^-1 is read off the complementary (d-p)-minors of G, minor(G^-1, I, J) =
+(-1)^(sum I + sum J) minor(G, J^c, I^c) / det G, with no inverse formed.
 
 Metrics.  euclidean(d) = identity; minkowski(c) = diag(-c^2, 1, 1, 1).
 """

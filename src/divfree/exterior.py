@@ -168,6 +168,22 @@ def pullback_coeffs(M, A, d, p):
     return np.einsum("...i,...ij->...j", A, P)
 
 
+def inverse_pullback_coeffs(G, A, d, p):
+    """``(pullback_coeffs(inv(G), A, d, p), det G)`` read off the minors of G.
+
+    Jacobi's complementary-minor theorem gives every p-minor of G^-1 as
+    minor(G^-1, I, J) = (-1)^(sum I + sum J) minor(G, J^c, I^c) / det G, and
+    the complement of the a-th p-tuple is the (C-1-a)-th (d-p)-tuple in the
+    lexicographic storage order, so the (d-p)-minors of G read with both
+    axes reversed line up with the p-minors of G^-1.  G^-1 is never formed.
+    """
+    Q = pullback_matrix(G, d, d - p)
+    det = _det_batch(np.asarray(G, dtype=float))
+    sign = np.array([(-1.0) ** sum(J) for J in form_basis(d, p).tuples])
+    B = np.einsum("...a,...ba->...b", np.asarray(A, dtype=float) * sign, Q[..., ::-1, ::-1])
+    return B * (sign / det[..., None]), det
+
+
 @lru_cache(maxsize=None)
 def _infinitesimal_table(d, p):
     # terms (slot_J, slot_I, i, j, sign): B[slot_J] += sign * N[i, j] * A[slot_I]

@@ -20,10 +20,10 @@ from .conventions import coeffs_to_em, coeffs_to_momentum, momentum_to_coeffs
 from .exterior import (
     exterior_derivative_table,
     form_basis,
-    pullback_coeffs,
+    inverse_pullback_coeffs,
 )
 from .models import RelativisticModel
-from .tensors import _cross, general_tensor_array
+from .tensors import _BLOCK_NODES, _cross, general_tensor_array
 
 
 class FlowLeftGridError(ValueError):
@@ -211,14 +211,21 @@ def load_grid_csv(path, d, p, spacing):
         raise ValueError(f"the cell indices in {path.name} must be integers >= 0")
     idx = idx.astype(np.int64)
     dims = tuple(int(n) for n in idx.max(axis=0) + 1)
+    # the checks read the sorted flat indices, so they cost O(rows) however
+    # far the largest index lies: rows without repeats fill the grid unless
+    # they are fewer than its cells, and the k-th sorted index is k up to
+    # the first cell they skip
     flat = np.ravel_multi_index(idx.T, dims)
-    counts = np.bincount(flat, minlength=math.prod(dims))
-    for what, bad in (("duplicate", counts > 1), ("missing", counts == 0)):
-        if bad.any():
-            cell = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), dims))
-            raise ValueError(f"{what} cell {cell} in {path.name}")
-    cells = np.empty_like(table)
-    cells[flat] = table
+    order = np.argsort(flat)
+    ranked = flat[order]
+    repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if len(repeats) or len(ranked) < math.prod(dims):
+        skips = np.flatnonzero(ranked != np.arange(len(ranked)))
+        what, at = (("duplicate", ranked[repeats[0]]) if len(repeats) else
+                    ("missing", skips[0] if len(skips) else len(ranked)))
+        cell = tuple(int(i) for i in np.unravel_index(int(at), dims))
+        raise ValueError(f"{what} cell {cell} in {path.name}")
+    cells = table[order]
     values = cells[:, comp_cols].reshape(dims + (len(comp_cols),))
     entropy = cells[:, s_col].reshape(dims) if s_col is not None else None
     return GridField(d, p, dims, tuple(spacing), (0.0,) * d, values, entropy)
@@ -381,9 +388,10 @@ class VariationField:
     """A compactly supported velocity field for flow variations.
 
     ``func_jac(Y)`` returns the field and its Jacobian (..., d, d) at points
-    Y (..., d).  One pass over the grid's nodes at first use gives ``values``,
-    which must vanish on the two nodes nearest every boundary, and
-    ``moving``, the nodes where the field or its Jacobian is nonzero.
+    Y (..., d).  One pass over the grid's nodes at first use, in blocks of
+    ``_BLOCK_NODES`` nodes so that no whole-grid Jacobian is held, gives
+    ``values``, which must vanish on the two nodes nearest every boundary,
+    and ``moving``, the nodes where the field or its Jacobian is nonzero.
     """
 
     dims: tuple
@@ -401,15 +409,23 @@ class VariationField:
 
     @cached_property
     def _samples(self):
-        d = len(self.dims)
-        v, J = self.value_and_jacobian(_node_coordinates(self.dims, self.spacing, self.origin))
-        if v.shape != self.dims + (d,):
-            raise ValueError(f"values must have shape {self.dims + (d,)}")
+        d, n = len(self.dims), math.prod(self.dims)
+        values, moving = np.empty((n, d)), np.empty(n, dtype=bool)
+        for a in range(0, n, _BLOCK_NODES):
+            nodes = slice(a, min(a + _BLOCK_NODES, n))
+            index = np.unravel_index(np.arange(nodes.start, nodes.stop), self.dims)
+            Y = np.stack([o + h * i for o, h, i in zip(self.origin, self.spacing, index)], -1)
+            v, J = self.value_and_jacobian(Y)
+            if v.shape != Y.shape:
+                raise ValueError(f"values must have shape {self.dims + (d,)}")
+            values[nodes] = v
+            moving[nodes] = np.any(v != 0.0, axis=-1) | np.any(J != 0.0, axis=(-2, -1))
+        values = values.reshape(self.dims + (d,))
         for a in range(d):
-            rows = np.moveaxis(v, a, 0)
+            rows = np.moveaxis(values, a, 0)
             if rows[:2].any() or rows[self.dims[a] - 2:].any():
                 raise ValueError("variation must vanish on a 2-node margin")
-        return v, np.any(v != 0.0, axis=-1) | np.any(J != 0.0, axis=(-2, -1))
+        return values, moving.reshape(self.dims)
 
     @property
     def values(self):
@@ -478,6 +494,11 @@ def first_variation(model, grid, var, eps):
     At any other node every RK4 stage reads (0, 0) at the node itself, so
     the flow fixes it with G = I and it adds the same L(A) vol to both
     signs of eps, which cancels in the centred difference.
+
+    The pullback by G^-1 and the factor det G are read off the minors of
+    the flowed Jacobian G (``inverse_pullback_coeffs``), with no inverse
+    formed.  A flow map preserves orientation, so a det G that is not
+    positive, or not a number, raises ValueError.
     """
     _require_same_grid(grid, var)
     d = grid.d
@@ -494,10 +515,13 @@ def first_variation(model, grid, var, eps):
         w, G = _flow_with_jacobian(var, Y, tau)
         if np.any(w < lo - 1e-9) or np.any(w > hi + 1e-9):
             raise FlowLeftGridError("variation flow left the sampled domain")
-        M = np.linalg.inv(G)
-        B = pullback_coeffs(M, A, d, grid.p)
+        # a singular G divides by 0 here and is refused just below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            B, det = inverse_pullback_coeffs(G, A, d, grid.p)
+        if not np.all(det > 0):
+            raise ValueError("the flow map's Jacobian det G must be positive at every node")
         L = np.asarray(model.evaluate(B, s), dtype=float)
-        return float(np.sum(L * np.linalg.det(G)) * vol)
+        return float(np.sum(L * det) * vol)
 
     numeric = (functional(eps) - functional(-eps)) / (2.0 * eps)
 

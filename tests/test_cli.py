@@ -1,5 +1,6 @@
 """Command line front end: thin wrapping, serialization, exit codes."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,21 @@ def test_malformed_csv_field_is_an_input_error(tmp_path, capsys, case):
     line = assert_one_error_line(capsys, ["verify", "--field", str(path), "--d", "2", "--p", "1",
                                           "--spacing", "0.5"])
     assert "field.csv" in line
+
+
+def test_a_far_csv_index_costs_the_files_memory_not_the_grids(tmp_path, capsys):
+    # two rows imply a 100001^2 grid: its count array alone would take 80 GB
+    path = tmp_path / "field.csv"
+    path.write_text("i0,i1,A_0,A_1\n0,0,1,1\n100000,100000,1,1\n")
+    tracemalloc.start()
+    try:
+        line = assert_one_error_line(capsys, ["verify", "--field", str(path), "--d", "2",
+                                              "--p", "1", "--spacing", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line.startswith("error: missing cell (0, 1) in field.csv")
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("case", MALFORMED_MANIFESTS)

@@ -12,6 +12,7 @@ from divfree.exterior import (
     exterior_derivative_table,
     form_basis,
     infinitesimal_pullback_coeffs,
+    inverse_pullback_coeffs,
     minor,
     pullback_coeffs,
     pullback_matrix,
@@ -121,6 +122,20 @@ def test_pullback_matches_the_minor_expansion():
             direct = np.stack([np.stack([minor(M, I, J) for J in subs], axis=-1)
                                for I in subs], axis=-2)
             assert pullback_matrix(M, d, p).tobytes() == direct.tobytes()
+
+
+def test_inverse_pullback_reads_the_complementary_minors():
+    # Jacobi's theorem against LAPACK's inverse and determinant at every
+    # (d, p) up to d = 5, where _det_batch takes its LU branch
+    rng = np.random.default_rng(6)
+    for d in range(6):
+        G = np.eye(d) + 0.3 * rng.standard_normal((5, 3, d, d))
+        for p in range(d + 1):
+            A = rng.standard_normal((5, 3, math.comb(d, p)))
+            B, det = inverse_pullback_coeffs(G, A, d, p)
+            reference = pullback_coeffs(np.linalg.inv(G), A, d, p)
+            assert np.abs(B - reference).max() <= 1e-13 * np.abs(reference).max()
+            assert np.abs(det - np.linalg.det(G)).max() <= 1e-14 * np.abs(det).max()
 
 
 def test_pullback_is_linear_and_contravariant():

@@ -11,6 +11,7 @@ import numpy as np
 
 import divfree.cli
 import divfree.conventions
+import divfree.exterior
 import divfree.fields
 import divfree.invariance
 import divfree.manufactured
@@ -183,6 +184,17 @@ def test_dropped_jacobian_term_breaks_the_variation_orders(monkeypatch):
     monkeypatch.setattr(fn, "__code__", rewritten(
         fn, "J, Gc)", "J[..., :, :-1], Gc[..., :-1, :])"))
     assert not variation_orders_hold(2, 1)
+
+
+def test_unreversed_complementary_minors_break_the_variation_orders(monkeypatch):
+    # the (d-p)-minors of G in their own order pair each p-tuple with the
+    # wrong complement: at G = I both orders agree, so only the flow's
+    # derivative sees it, and the full-grid LAPACK reference does too
+    exact = test_fields.test_first_variation_matches_the_full_grid_flow
+    assert variation_orders_hold(2, 1) and not fails(exact, 3, 2, 12, False)
+    fn = divfree.exterior.inverse_pullback_coeffs
+    monkeypatch.setattr(fn, "__code__", rewritten(fn, "Q[..., ::-1, ::-1]", "Q"))
+    assert not variation_orders_hold(2, 1) and fails(exact, 3, 2, 12, False)
 
 
 def test_forward_euler_flow_breaks_the_substep_share(monkeypatch):

@@ -585,6 +585,41 @@ def test_a_variation_samples_its_grid_once():
     assert 0 < moving < n * n
     assert points[0] == n * n and set(points[1:]) == {moving}
     assert len(points) == 1 + 2 * 4 * fields._FLOW_SUBSTEPS
+    # on a grid of more than one block of nodes, the blocks sample every
+    # node once and give the bytes of one whole-grid call
+    n = 32
+    bump = bump_variation(3, (n,) * 3, (1 / n,) * 3, seed=202)
+    sampled = []
+
+    def func_jac(Y):
+        sampled.append(Y.copy())
+        return bump.func_jac(Y)
+
+    var = VariationField(bump.dims, bump.spacing, bump.origin, func_jac)
+    nodes = fields._node_coordinates(bump.dims, bump.spacing, bump.origin)
+    whole, J = bump.func_jac(nodes)
+    assert var.values.tobytes() == whole.tobytes()
+    assert np.array_equal(var.moving, np.any(whole != 0.0, axis=-1)
+                          | np.any(J != 0.0, axis=(-2, -1)))
+    assert len(sampled) > 1 and max(len(Y) for Y in sampled) <= fields._BLOCK_NODES
+    assert np.concatenate(sampled).tobytes() == nodes.reshape(-1, 3).tobytes()
+
+
+@pytest.mark.parametrize("det", (0.0, -1.0, np.nan))
+def test_first_variation_refuses_a_flow_map_that_does_not_keep_orientation(monkeypatch, det):
+    # det G scales its first row; a flow map's det G is positive
+    grid = GridField.from_function(closed_trig_form(2, 1, seed=101), 2, 1, (16, 16),
+                                   (1 / 16, 1 / 16))
+    var = bump_variation(2, (16, 16), grid.spacing, seed=202)
+
+    def flow(var, Y, tau):
+        G = np.broadcast_to(np.eye(2), Y.shape[:-1] + (2, 2)).copy()
+        G[..., 0, :] *= det
+        return Y, G
+
+    monkeypatch.setattr(fields, "_flow_with_jacobian", flow)
+    with pytest.raises(ValueError, match="det G"):
+        first_variation(study_model(2, 1, seed=0), grid, var, eps=0.01)
 
 
 @pytest.mark.parametrize("moved", ({"spacing": (0.1, 0.1)}, {"origin": (0.0, 0.125)}))
