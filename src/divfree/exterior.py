@@ -7,6 +7,7 @@ pieces of bookkeeping:
 
 * canonical ordering of index tuples with the permutation sign,
 * lexicographic enumeration of the canonical tuples (the storage order),
+  which lists their complements in reverse (``hodge``),
 * minors of a matrix indexed by pairs of tuples, which give the action of a
   linear change of variables on the coefficients.
 
@@ -24,6 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+_MAX_BASIS = 4096  # axes or tuples FormBasis may enumerate; the largest in use is 20
+
 
 def canonicalize(raw, d=None):
     """Sort an index tuple and report the sign of the sorting permutation.
@@ -60,6 +64,8 @@ class FormBasis:
     def __init__(self, d, p):
         if not 0 <= p <= d:
             raise ValueError(f"degree {p} out of range for dimension {d}")
+        if max(d, math.comb(d, p)) > _MAX_BASIS:
+            raise ValueError(f"a form basis takes at most {_MAX_BASIS} axes and coefficients")
         self.d = d
         self.p = p
         self.tuples = tuple(itertools.combinations(range(d), p))
@@ -81,6 +87,15 @@ class FormBasis:
 @lru_cache(maxsize=None)
 def form_basis(d, p):
     return FormBasis(d, p)
+
+
+@lru_cache(maxsize=None)
+def hodge(d, p):
+    """Signs of the Hodge map: the complement I^c of the a-th p-tuple I is the
+    (C(d, p) - 1 - a)-th (d-p)-tuple, and ``(star A)[C(d, p) - 1 - a] =
+    hodge(d, p)[a] A[a]`` with the sign of (I, I^c), (-1)^(sum I - p(p-1)/2).
+    Applying star twice multiplies by (-1)^(p (d-p))."""
+    return tuple((-1.0) ** (sum(I) - p * (p - 1) // 2) for I in form_basis(d, p).tuples)
 
 
 @dataclass(frozen=True)
@@ -131,18 +146,6 @@ def _det_batch(sub):
     return np.linalg.det(sub)
 
 
-def minor(M, I, J):
-    """Determinant of the submatrix of M with rows I and columns J.
-
-    M may carry leading batch axes; the result is batched accordingly.
-    """
-    if len(I) != len(J):
-        raise ValueError("row and column tuples must have equal length")
-    M = np.asarray(M, dtype=float)
-    sub = M[..., list(I), :][..., :, list(J)]
-    return _det_batch(sub)
-
-
 def pullback_matrix(M, d, p):
     """Matrix of p-minors P with P[..., a, b] = minor(M, tuples[a], tuples[b]).
 
@@ -160,26 +163,17 @@ def pullback_matrix(M, d, p):
     return out
 
 
-def pullback_coeffs(M, A, d, p):
-    """Substitution action on a coefficient array; A has trailing axis of
-    length C(d, p) and M may be batched alongside it."""
-    P = pullback_matrix(M, d, p)
-    A = np.asarray(A, dtype=float)
-    return np.einsum("...i,...ij->...j", A, P)
-
-
 def inverse_pullback_coeffs(G, A, d, p):
-    """``(pullback_coeffs(inv(G), A, d, p), det G)`` read off the minors of G.
+    """``(A @ pullback_matrix(inv(G), d, p), det G)`` read off the minors of G.
 
     Jacobi's complementary-minor theorem gives every p-minor of G^-1 as
-    minor(G^-1, I, J) = (-1)^(sum I + sum J) minor(G, J^c, I^c) / det G, and
-    the complement of the a-th p-tuple is the (C-1-a)-th (d-p)-tuple in the
-    lexicographic storage order, so the (d-p)-minors of G read with both
-    axes reversed line up with the p-minors of G^-1.  G^-1 is never formed.
+    minor(G^-1, I, J) = h_I h_J minor(G, J^c, I^c) / det G with h =
+    ``hodge(d, p)``, so the (d-p)-minors of G read with both axes reversed
+    line up with the p-minors of G^-1.  G^-1 is never formed.
     """
     Q = pullback_matrix(G, d, d - p)
     det = _det_batch(np.asarray(G, dtype=float))
-    sign = np.array([(-1.0) ** sum(J) for J in form_basis(d, p).tuples])
+    sign = np.array(hodge(d, p))
     B = np.einsum("...a,...ba->...b", np.asarray(A, dtype=float) * sign, Q[..., ::-1, ::-1])
     return B * (sign / det[..., None]), det
 
@@ -209,7 +203,7 @@ def _infinitesimal_table(d, p):
 def infinitesimal_pullback_coeffs(N, A, d, p):
     """First-order coefficients of the pullback along exp(t N) at t = 0.
 
-    Exactly the t-derivative of ``pullback_coeffs(expm(t N), A, d, p)``; in
+    Exactly the t-derivative of ``A @ pullback_matrix(expm(t N), d, p)``; in
     relaxed index notation the target coefficient B_{jK} collects n_ij A_{iK}
     over all i outside K.
     """

@@ -17,11 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .conventions import coeffs_to_em, coeffs_to_momentum, momentum_to_coeffs
-from .exterior import (
-    exterior_derivative_table,
-    form_basis,
-    inverse_pullback_coeffs,
-)
+from .exterior import exterior_derivative_table, form_basis, hodge, inverse_pullback_coeffs
 from .models import RelativisticModel
 from .tensors import _BLOCK_NODES, _cross, general_tensor_array
 
@@ -346,18 +342,18 @@ def euler_lagrange_rows(model, grid):
     permutation sign.
 
     Its vanishing is the Euler-Lagrange equation for variations
-    alpha + d beta.  Row K takes (axis j, slot of jK, sign) from the
-    exterior derivative table of degree p - 1 read transposed, since the
-    divergence is the adjoint of d, with its terms in axis order.
+    alpha + d beta.  It is (-1)^(p+1) star^-1 d star g, run as the closedness
+    table of degree d - p with both stars folded into its row order and term
+    signs: slot c of star g is slot -1 - c of g, and star^-1 reads row K off
+    that table's row for K^c with the sign hodge(d, p - 1)[K].
     """
     _require_interior(grid)
     d, p = grid.d, grid.p
     g = model.gradient(grid.values, grid.entropy if grid.entropy is not None else 0.0)
-    index, table = form_basis(d, p).index, [[] for _ in range(form_basis(d, p - 1).size)]
-    for J, terms in exterior_derivative_table(d, p - 1):
-        for axis, K, sign in terms:
-            table[K].append((axis, index[J], sign))
-    rows = _divergence(np.moveaxis(g, -1, 0), [sorted(t) for t in table], grid.spacing, d)
+    h, dual_rows = hodge(d, p), exterior_derivative_table(d, d - p)[::-1]
+    table = [[(axis, -1 - c, (-1) ** (p + 1) * k * sign * h[-1 - c]) for axis, c, sign in terms]
+             for (_, terms), k in zip(dual_rows, hodge(d, p - 1))]
+    rows = _divergence(np.moveaxis(g, -1, 0), table, grid.spacing, d)
     return np.moveaxis(rows, 0, -1)
 
 

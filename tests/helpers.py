@@ -9,7 +9,8 @@ import numpy as np
 
 import divfree
 from divfree.conventions import coeffs_to_em, coeffs_to_momentum, em_to_coeffs, momentum_to_coeffs
-from divfree.exterior import PFormValue, exterior_derivative_table, form_basis
+from divfree.exterior import (PFormValue, _det_batch, exterior_derivative_table, form_basis,
+                              hodge, pullback_matrix)
 from divfree.fields import (_LAM_GRID, _REFINE_ITERS, _cd, _interior, _require_interior,
                             closedness_residual, div_rows, div_T_residual,
                             entropy_transport_residual, euler_lagrange_rows,
@@ -18,6 +19,26 @@ from divfree.invariance import generator_defects
 from divfree.manufactured import closed_trig_form, study_model
 from divfree.models import EMState, GasState, MaxwellModel, RelativisticState
 from divfree.tensors import general_tensor_array, symmetry_defect
+
+
+def minor(M, I, J):
+    """Determinant of the submatrix of M with rows I and columns J, batched
+    over M's leading axes: the reference for pullback_matrix's entries."""
+    if len(I) != len(J):
+        raise ValueError("row and column tuples must have equal length")
+    M = np.asarray(M, dtype=float)
+    return _det_batch(M[..., list(I), :][..., :, list(J)])
+
+
+def pullback_coeffs(M, A, d, p):
+    """Substitution action B = A @ P on a coefficient array; A has trailing
+    axis of length C(d, p) and M may be batched alongside it."""
+    return np.einsum("...i,...ij->...j", np.asarray(A, dtype=float), pullback_matrix(M, d, p))
+
+
+def star(A, d, p):
+    """The Hodge map on degree-p coefficients: (star A)[C-1-a] = hodge(d, p)[a] A[a]."""
+    return (np.asarray(A, dtype=float) * np.array(hodge(d, p)))[..., ::-1]
 
 
 def energy_density(model, rho, s=0.0):
@@ -214,6 +235,16 @@ def euler_lagrange_rows_gather(model, grid):
         for axis, K, sign in terms:
             G[K, axis] = sign * g_J
     return div_rows(G.transpose(tuple(range(2, G.ndim)) + (0, 1)), grid.spacing, d)
+
+
+def random_nodal_grid(d, p, seed=0):
+    """A 7 x 6 x 5 x 4 (first d axes) grid of random coefficients and
+    entropy with random spacings: every central difference is nonzero."""
+    rng = np.random.default_rng(seed)
+    dims = (7, 6, 5, 4)[:d]
+    return divfree.GridField(d, p, dims, rng.uniform(0.1, 0.5, d), (0.0,) * d,
+                             rng.standard_normal(dims + (math.comb(d, p),)),
+                             rng.standard_normal(dims))
 
 
 def div_T_residual_whole(model, grid):

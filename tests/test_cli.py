@@ -465,6 +465,19 @@ def test_bad_model_input_is_an_input_error(capsys, argv):
     assert_one_error_line(capsys, argv)
 
 
+@pytest.mark.parametrize("argv", (
+    ["tensor", "--model", "gas", "--params", "n=1e308"],
+    ["tensor", "--model", "gas-polytropic", "--params", "n=1e308"],
+    ["tensor", "--model", "user-expr", "--params", "expr=A0,d=1e308,p=1"],
+    ["tensor", "--model", "gas", "--params", "n=100000"],
+))
+def test_an_oversized_form_basis_is_an_input_error(capsys, argv):
+    # C(d, p) tuples are refused before itertools enumerates them: 1e308
+    # overflowed it, and n = 100000 would take 10^5 tuples of 10^5 axes
+    line = assert_one_error_line(capsys, argv + ["--state", '{"coeffs": [1, 2]}'])
+    assert line == "error: a form basis takes at most 4096 axes and coefficients"
+
+
 MOVING_STATE = '{"m": [2.0, 0.3, -0.1, 0.2]}'
 STATES = {"gas": '{"rho": 1.0, "q": [1.0]}', "relativistic": MOVING_STATE}
 

@@ -11,12 +11,13 @@ from divfree.exterior import (
     canonicalize,
     exterior_derivative_table,
     form_basis,
+    hodge,
     infinitesimal_pullback_coeffs,
     inverse_pullback_coeffs,
-    minor,
-    pullback_coeffs,
     pullback_matrix,
 )
+
+from helpers import minor, pullback_coeffs, star
 
 
 def pfaffian_2form(form):
@@ -181,6 +182,32 @@ def test_infinitesimal_pullback_is_the_flow_derivative():
     assert errs[0] < 1e-7
     # halving t divides the mismatch by four: the linearization is exact to O(t^2)
     assert 3.8 < errs[0] / errs[1] < 4.2
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_hodge_pairs_each_tuple_with_its_complement_in_reverse_order(d):
+    # star sends slot a to slot C - 1 - a, the complement, with the sign of
+    # the permutation (I, I^c); applying it twice gives (-1)^(p (d-p))
+    rng = np.random.default_rng(d)
+    for p in range(d + 1):
+        C = math.comb(d, p)
+        assert len(hodge(d, p)) == C
+        for a, I in enumerate(form_basis(d, p).tuples):
+            Ic = tuple(k for k in range(d) if k not in I)
+            assert form_basis(d, d - p).index[Ic] == C - 1 - a
+            assert hodge(d, p)[a] == canonicalize(I + Ic)[1]
+            assert hodge(d, p)[a] * hodge(d, d - p)[C - 1 - a] == (-1) ** (p * (d - p))
+        A = rng.standard_normal((3, C))
+        assert np.array_equal(star(star(A, d, p), d, d - p), (-1) ** (p * (d - p)) * A)
+
+
+def test_an_oversized_basis_is_refused_before_it_is_enumerated():
+    # n = 10^5 would enumerate 10^5 tuples of length 10^5, and range(10^308)
+    # overflows itertools.combinations
+    for d, p in ((100001, 100000), (10 ** 308, 1), (10 ** 308, 10 ** 308), (4097, 0)):
+        with pytest.raises(ValueError, match="at most 4096 axes and coefficients"):
+            form_basis(d, p)
+    assert form_basis(4096, 1).size == 4096
 
 
 def test_pfaffian_frozen_value_and_em_identification():

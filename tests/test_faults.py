@@ -18,6 +18,7 @@ import divfree.manufactured
 import divfree.models
 import divfree.tensors
 import test_cli
+import test_exterior
 import test_fields
 import test_invariance
 import test_tensors
@@ -26,14 +27,14 @@ from divfree import (ad_gradient, assemble, build_model, case_refinement, euclid
                      lightlike_normal_search, minkowski_metric, variation_study)
 from divfree import dualnum
 from divfree.fields import rankine_hugoniot
-from divfree.manufactured import run_case
+from divfree.manufactured import run_case, study_model
 from divfree.models import RelativisticState
 from divfree.tensors import general_tensor_array
 
 from helpers import (IDENTITY_LADDERS, energy_density, euler_lagrange_identity,
-                     limit_jump_states, normal_search_reference, pass_maxima, random_slab_grids,
-                     rel_gap, same_bits, sampled_states, slab_budget, slab_results,
-                     trace_identity_gap, typed_state)
+                     euler_lagrange_rows_gather, limit_jump_states, normal_search_reference,
+                     pass_maxima, random_nodal_grid, random_slab_grids, rel_gap, same_bits,
+                     sampled_states, slab_budget, slab_results, trace_identity_gap, typed_state)
 from test_acceptance import BROKEN_PAIRS, INVARIANT_PAIRS
 
 # criterion 01 gates the block forms, criterion 02 the invariant defects and
@@ -63,14 +64,15 @@ M_LEFT = np.array([2.0, 0.3, -0.1, 0.2])
 def rewritten(fn, old, new):
     """The code of fn with its one occurrence of ``old`` replaced by
     ``new``, compiled against fn's globals at fn's own line numbers; planted
-    as ``fn.__code__`` so that every reference to fn runs the fault."""
+    as ``fn.__code__`` so that every reference to fn runs the fault.  fn may
+    be the ``__wrapped__`` function of a cached one."""
     lines, first = inspect.getsourcelines(fn)
     source = textwrap.dedent("".join(lines))
     assert source.count(old) == 1, f"{old!r} does not occur once in {fn.__name__}"
     scope = {}
     exec(compile("\n" * (first - 1) + source.replace(old, new),
                  inspect.getsourcefile(fn), "exec"), fn.__globals__, scope)
-    return scope[fn.__name__].__code__
+    return inspect.unwrap(scope[fn.__name__]).__code__
 
 
 def fails(test, *args):
@@ -407,6 +409,47 @@ def test_flipped_gather_sign_breaks_the_euler_lagrange_identity(monkeypatch):
 
     monkeypatch.setattr(divfree.fields, "exterior_derivative_table", flipped)
     assert not all(identity_holds(d, p) for d, p in IDENTITY_LADDERS)
+
+
+def test_unsigned_hodge_breaks_the_duality_the_pullback_and_the_euler_lagrange_bits(monkeypatch):
+    # star without its signs keeps every slot: the complement order alone
+    # does not make the Legendre dual, Jacobi's inverse or div G
+    tests = ((test_tensors.test_the_legendre_hodge_dual_has_minus_the_tensor, 4, 2),
+             (test_exterior.test_inverse_pullback_reads_the_complementary_minors,),
+             (test_fields.test_euler_lagrange_rows_are_the_gather_bits, 4, 2))
+    assert not any(fails(*test) for test in tests)
+    hodge = divfree.exterior.hodge
+    with monkeypatch.context() as patch:
+        fn = hodge.__wrapped__
+        patch.setattr(fn, "__code__", rewritten(fn, "(-1.0) **", "1.0 **"))
+        hodge.cache_clear()
+        caught = [fails(*test) for test in tests]
+    hodge.cache_clear()
+    assert all(caught)
+
+
+def test_every_flipped_derivative_term_changes_the_euler_lagrange_rows(monkeypatch):
+    # euler_lagrange_rows runs the closedness table of degree d - p; the
+    # gather reference reads divfree.exterior's table of degree p - 1, which
+    # the patch leaves alone.  On random nodal data no difference is zero,
+    # so each single flipped term of each table with d <= 4 must show
+    caught = []
+    for d in (2, 3, 4):
+        for p in range(1, d + 1):
+            model, grid = study_model(d, p, 0), random_nodal_grid(d, p)
+            want = euler_lagrange_rows_gather(model, grid)
+            assert same_bits(divfree.fields.euler_lagrange_rows(model, grid), want)
+            rows = divfree.exterior.exterior_derivative_table(d, d - p)
+            for r, (J, terms) in enumerate(rows):
+                for t, (axis, slot, sign) in enumerate(terms):
+                    flipped = terms[:t] + ((axis, slot, -sign),) + terms[t + 1:]
+                    table = rows[:r] + ((J, flipped),) + rows[r + 1:]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(divfree.fields, "exterior_derivative_table",
+                                      lambda *_, table=table: table)
+                        rows_now = divfree.fields.euler_lagrange_rows(model, grid)
+                    caught.append(not same_bits(rows_now, want))
+    assert len(caught) == 48 and all(caught)
 
 
 def test_unsigned_divergence_terms_break_closedness_and_the_identity(monkeypatch):

@@ -19,7 +19,6 @@ from divfree import (
     variation_study,
 )
 from divfree import fields
-from divfree.exterior import pullback_coeffs
 from divfree.fields import (
     FlowLeftGridError,
     VariationField,
@@ -47,7 +46,7 @@ from divfree.tensors import general_tensor_array
 
 from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, euler_lagrange_rows_gather,
                      family_residual_loop, limit_jump_states, normal_search_reference,
-                     random_slab_grids, same_bits, slab_budget, slab_results)
+                     pullback_coeffs, random_slab_grids, same_bits, slab_budget, slab_results)
 from test_acceptance import VARIATION_COMBOS, VARIATION_LADDER, VARIATION_SEEDS
 
 # the largest share of criterion 05's error, |numeric - pairing|, that

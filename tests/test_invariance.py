@@ -11,11 +11,11 @@ from divfree import (
     minkowski_metric,
     momentum_to_coeffs,
 )
-from divfree.exterior import form_basis, pullback_coeffs, pullback_matrix
+from divfree.exterior import form_basis, pullback_matrix
 from divfree.invariance import check_metric, lie_basis
 from divfree.models import LagrangianModel, list_models
 
-from helpers import pass_maxima, sampled_states, trace_identity_gap
+from helpers import pass_maxima, pullback_coeffs, sampled_states, trace_identity_gap
 
 INVARIANT = (
     ("iso-p1", lambda: euclidean_metric(2)),

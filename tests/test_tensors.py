@@ -1,4 +1,5 @@
 """Tensor assembly: hand-checked blocks and agreement of the independent routes."""
+import math
 
 import numpy as np
 import pytest
@@ -14,16 +15,17 @@ from divfree import (
     build_model,
     minkowski_metric,
 )
-from divfree.conventions import coeffs_to_momentum, momentum_slots, momentum_to_coeffs
+from divfree.conventions import coeffs_to_momentum, momentum_to_coeffs
 from divfree import tensors
-from divfree.exterior import PFormValue
+from divfree.exterior import PFormValue, form_basis, hodge
 from divfree.fields import tensor_grid
 from divfree.manufactured import closed_trig_form, study_model
 from divfree.models import EMState, GasState, LagrangianModel, RelativisticState, list_models
 from divfree.tensors import (TensorValue, _assembly_table, _cross, general_tensor_array,
                              symmetry_defect)
 
-from helpers import energy_density, rel_gap, same_bits, sampled_states, typed_state
+from helpers import energy_density, rel_gap, same_bits, sampled_states, star, typed_state
+from test_invariance import model_quadratic
 
 GAS_WITNESS = GasState(rho=1.0, q=[1.0])
 EM_WITNESS = EMState(E=[1.0, 0.0, 0.0], B=[0.0, 1.0, 0.0])
@@ -254,13 +256,56 @@ def test_grid_assembly_is_the_cell_major_loop_and_shares_no_memory():
 
 
 def test_momentum_slots_are_one_shared_tuple():
-    assert momentum_slots(4) is momentum_slots(4)
-    assert isinstance(momentum_slots(4), tuple)
+    # the momentum identification is star of degree 1: m_i sits in slot
+    # d - 1 - i, the tuple omitting axis i, with the cached sign (-1)^i
+    assert hodge(4, 1) is hodge(4, 1)
+    assert isinstance(hodge(4, 1), tuple)
     m = np.arange(1.0, 9.0).reshape(2, 4)
     A = momentum_to_coeffs(m)
-    for i, slot in enumerate(momentum_slots(4)):
+    for i, slot in enumerate((3, 2, 1, 0)):
+        assert form_basis(4, 3).tuples[slot] == tuple(k for k in range(4) if k != i)
         assert np.array_equal(A[:, slot], (-1) ** i * m[:, i])
     assert np.array_equal(coeffs_to_momentum(A), m)
+
+
+# the duality gaps read at most 2.8 eps of max |T|
+DUALITY_TOL = 32 * np.finfo(float).eps
+
+
+def legendre_hodge_dual(Q, d, p):
+    """For L = A^T Q A / 2 of p-forms, the density L*(B) = A . G - L of
+    (d-p)-forms at B = star G, G = Q A: B^T S Q^-1 S^T B / 2, S = star."""
+    S = star(np.eye(math.comb(d, p)), d, p).T
+    Q_dual = S @ np.linalg.inv(Q) @ S.T
+    return model_quadratic(0.5 * (Q_dual + Q_dual.T), d, d - p)
+
+
+@pytest.mark.parametrize("d,p", [(d, p) for d in range(2, 6) for p in range(1, d)])
+def test_the_legendre_hodge_dual_has_minus_the_tensor(d, p):
+    # the two variational principles give one tensor: T*(star G(A)) = -T(A),
+    # where +T and -T^T miss by O(max |T|)
+    rng = np.random.default_rng(10 * d + p)
+    C = math.comb(d, p)
+    R = rng.standard_normal((C, C))
+    Q = R @ R.T + C * np.eye(C)
+    model = model_quadratic(Q, d, p)
+    A = rng.standard_normal((64, C))
+    T = general_tensor_array(model, A)
+    dual = general_tensor_array(legendre_hodge_dual(Q, d, p), star(model.gradient(A), d, p))
+    assert np.abs(dual + T).max() <= DUALITY_TOL * np.abs(T).max()
+    assert min(np.abs(dual - T).max(), np.abs(dual + np.swapaxes(T, -1, -2)).max()) > 1.0
+
+
+def test_linear_maxwell_is_its_own_legendre_hodge_dual():
+    # L(star G) = -L(A) and T(star G) = T(A): the duality invariance of the
+    # electromagnetic stress tensor
+    model = build_model("maxwell-linear")
+    A, s = sampled_states(model, 64, seed=4)
+    B = star(model.gradient(A, s), 4, 2)
+    L = model.evaluate(A, s)
+    T = general_tensor_array(model, A, s)
+    assert np.abs(model.evaluate(B, s) + L).max() <= DUALITY_TOL * np.abs(L).max()
+    assert np.abs(general_tensor_array(model, B, s) - T).max() <= DUALITY_TOL * np.abs(T).max()
 
 
 def test_tensor_value_validation():
