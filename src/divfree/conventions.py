@@ -28,7 +28,8 @@ Electromagnetic identification (d = 4, p = 2).  With axis 0 = time,
     A_{j0} = E_j  (canonical slot (0, j) stores -E_j),
     A_{12} = B_3,  A_{13} = -B_2,  A_{23} = B_1,
 
-i.e. the spatial slots carry B through the 3-index permutation signature.
+i.e. the spatial slots carry star B, the degree-1 star in space: B_j (axis j + 1)
+goes to the complement of j among the spatial axes with the sign hodge(3, 1)[j].
 Closedness of the form is the magnetic half of the field equations
 (d/dt B + curl E = 0, div B = 0).  With D = dL/dE and H = -dL/dB the
 coefficient-space gradient is the same identification applied to (D, -H),
@@ -107,19 +108,18 @@ def coeffs_to_momentum(A):
     return out
 
 
-# 2-form slot order for d = 4: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3)
-_EM_E_SLOTS = (0, 1, 2)
-_EM_B_SLOTS = (5, 4, 3)      # B_1, B_2, B_3 live in slots (2,3),(1,3),(1,2)
-_EM_B_SIGNS = (1.0, -1.0, 1.0)
+# 2-form slot order for d = 4: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3).  Slot j < 3 is
+# (0, j + 1); slots 3-5 are the spatial 2-tuples and hold star B, the degree-1
+# star in space (the momentum identification of d = 3): B_j to slot 5 - j
 
 
 def em_to_coeffs(E, B):
     E = np.asarray(E, dtype=float)
     B = np.asarray(B, dtype=float)
     out = np.empty(np.broadcast(E, B).shape[:-1] + (6,))
-    for j in range(3):
-        np.negative(E[..., j], out=out[..., _EM_E_SLOTS[j]])
-        np.multiply(_EM_B_SIGNS[j], B[..., j], out=out[..., _EM_B_SLOTS[j]])
+    for j, sign in enumerate(hodge(3, 1)):
+        np.negative(E[..., j], out=out[..., j])
+        np.multiply(sign, B[..., j], out=out[..., 5 - j])
     return out
 
 
@@ -130,10 +130,7 @@ def em_components(coeffs):
     model evaluation, forward-mode differentiation and ``coeffs_to_em``
     share one reader of the identification.
     """
-    E = [-coeffs[k] for k in _EM_E_SLOTS]
-    B = [coeffs[k] if sign > 0 else -coeffs[k]
-         for k, sign in zip(_EM_B_SLOTS, _EM_B_SIGNS)]
-    return E, B
+    return [-coeffs[j] for j in range(3)], momentum_components(coeffs[3:], 3)
 
 
 def coeffs_to_em(A):

@@ -27,6 +27,13 @@ from functools import lru_cache
 import numpy as np
 
 _MAX_BASIS = 4096  # axes or tuples FormBasis may enumerate; the largest in use is 20
+_MAX_POINTS = 1 << 22  # nodes, states or angles one call may generate; the largest in use is 2^20
+
+
+def require_points(count, what):
+    """Refuse to generate more than _MAX_POINTS ``what``, before any is allocated."""
+    if count > _MAX_POINTS:
+        raise ValueError(f"{count} {what} exceed the {_MAX_POINTS} one call may generate")
 
 
 def canonicalize(raw, d=None):

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .conventions import coeffs_to_em, coeffs_to_momentum, momentum_to_coeffs
-from .exterior import exterior_derivative_table, form_basis, hodge, inverse_pullback_coeffs
+from .exterior import (exterior_derivative_table, form_basis, hodge, inverse_pullback_coeffs,
+                       require_points)
 from .models import RelativisticModel
 from .tensors import _BLOCK_NODES, _cross, general_tensor_array
 
@@ -116,6 +117,7 @@ class GridField:
 
     @classmethod
     def from_function(cls, fn, d, p, dims, spacing, origin=None, entropy_fn=None):
+        require_points(math.prod(dims), "grid nodes")
         spacing = _positive_spacing(spacing)
         origin = tuple(origin) if origin is not None else (0.0,) * d
         Y = _node_coordinates(dims, spacing, origin)
@@ -207,20 +209,21 @@ def load_grid_csv(path, d, p, spacing):
         raise ValueError(f"the cell indices in {path.name} must be integers >= 0")
     idx = idx.astype(np.int64)
     dims = tuple(int(n) for n in idx.max(axis=0) + 1)
-    # the checks read the sorted flat indices, so they cost O(rows) however
-    # far the largest index lies: rows without repeats fill the grid unless
-    # they are fewer than its cells, and the k-th sorted index is k up to
-    # the first cell they skip
-    flat = np.ravel_multi_index(idx.T, dims)
-    order = np.argsort(flat)
-    ranked = flat[order]
-    repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+    # the checks sort the rows' cells row-major, with no flat index into the
+    # grid, so they cost O(rows) however far the largest index lies: rows
+    # without repeats fill the grid unless they are fewer than its cells, and
+    # the k-th sorted cell is the grid's k-th up to the first cell they skip
+    order = np.lexsort(idx.T[::-1])
+    ranked = idx[order]
+    repeats = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
     if len(repeats) or len(ranked) < math.prod(dims):
-        skips = np.flatnonzero(ranked != np.arange(len(ranked)))
+        k, kth = np.arange(len(ranked) + 1), np.empty((len(ranked) + 1, d), dtype=np.int64)
+        for a in reversed(range(d)):
+            k, kth[:, a] = np.divmod(k, dims[a])
+        skips = np.flatnonzero((ranked != kth[:-1]).any(axis=1))
         what, at = (("duplicate", ranked[repeats[0]]) if len(repeats) else
-                    ("missing", skips[0] if len(skips) else len(ranked)))
-        cell = tuple(int(i) for i in np.unravel_index(int(at), dims))
-        raise ValueError(f"{what} cell {cell} in {path.name}")
+                    ("missing", kth[skips[0] if len(skips) else len(ranked)]))
+        raise ValueError(f"{what} cell {tuple(int(i) for i in at)} in {path.name}")
     cells = table[order]
     values = cells[:, comp_cols].reshape(dims + (len(comp_cols),))
     entropy = cells[:, s_col].reshape(dims) if s_col is not None else None
@@ -245,18 +248,11 @@ def _cd_neighbours(axis, ndim_grid):
     return tuple(hi), tuple(lo)
 
 
-def _cd(arr, axis, h, ndim_grid):
-    """Central difference along one grid axis, restricted to the interior of
-    every grid axis so that all terms share a shape."""
-    hi, lo = _cd_neighbours(axis, ndim_grid)
-    return (arr[hi] - arr[lo]) / (2.0 * h)
-
-
 def _divergence(fields, table, spacing, d):
     """Interior-node rows sum sign d/dy_axis fields[c] over each row of ``table``'s (axis,
-    c, sign) terms, for grid-shaped fields[c], as a component-major (rows, ...) array.
-    A row sums its central differences onto 0.0 in table order, the arithmetic of
-    ``0.0 + sign * _cd(..) + ..``, with every difference taken into one scratch array."""
+    c, sign) terms, for grid-shaped fields[c], as a component-major (rows, ...) array: the
+    one central difference.  A row adds or subtracts each (upper - lower neighbour) / 2h
+    onto 0.0 in table order, with every difference taken into one scratch array."""
     inner = tuple(max(n - 2, 0) for n in fields[0].shape[:d])
     out = np.zeros((len(table),) + inner)
     term = np.empty(inner)
@@ -524,9 +520,11 @@ def first_variation(model, grid, var, eps):
     T_int = _interior(tensor_grid(model, grid), d)
     pairing = 0.0
     for i in range(d):
+        # one component's d rows d_j xi_i at a time, so no more than d
+        # interior arrays are held beside T
+        dxi = _divergence([var.values[..., i]], [[(j, 0, 1)] for j in range(d)], grid.spacing, d)
         for j in range(d):
-            dxi = _cd(var.values[..., i], j, grid.spacing[j], d)
-            pairing -= float(np.sum(T_int[..., i, j] * dxi))
+            pairing -= float(np.sum(T_int[..., i, j] * dxi[j]))
     return numeric, pairing * vol
 
 
@@ -552,9 +550,10 @@ def entropy_transport_residual(model, grid):
     worst, lo, hi = 0.0, np.inf, -np.inf
     for _, sub in _slabs(grid):
         d, m = sub.d, coeffs_to_momentum(sub.values)
+        grad_s = _divergence([sub.entropy], [[(a, 0, 1)] for a in range(d)], sub.spacing, d)
         acc = 0.0
         for a in range(d):
-            acc = acc + _interior(m[..., a], d) * _cd(sub.entropy, a, sub.spacing[a], d)
+            acc = acc + _interior(m[..., a], d) * grad_s[a]
         factor = model.pressure_entropy_derivative(_interior(m[..., 0], d),
                                                    _interior(sub.entropy, d))
         worst = np.maximum(worst, np.abs(acc).max())
@@ -688,6 +687,7 @@ def lightlike_normal_search(model, m_left, rho_jump_min=0.05, coarse=121):
     m_left = _finite_vector("m_left", m_left, model.d)
     if coarse < 1:
         raise ValueError(f"coarse must be at least 1, not {coarse}")
+    require_points(coarse, "coarse angles")
     if not (math.isfinite(rho_jump_min) and rho_jump_min >= 0.0):
         raise ValueError(f"rho_jump_min must be finite and >= 0, "
                          f"not {rho_jump_min}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import infinitesimal_pullback_coeffs
+from .exterior import infinitesimal_pullback_coeffs, require_points
 from .tensors import general_tensor_array, symmetry_defect
 
 
@@ -93,6 +93,7 @@ def invariance_symmetry_check(model, S, n_states=128, seed=0,
     """
     if n_states < 1:
         raise ValueError("need at least one state")
+    require_points(n_states, "states")
     if not (np.isfinite([tol_invariant, tol_broken]).all()
             and 0 <= tol_invariant < tol_broken):
         raise ValueError("tolerances must be finite with 0 <= tol_invariant < tol_broken, "

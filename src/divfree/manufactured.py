@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dualnum
 from .conventions import em_to_coeffs, momentum_to_coeffs
-from .exterior import exterior_derivative_table, form_basis
+from .exterior import exterior_derivative_table, form_basis, require_points
 from .fields import (
     GridField,
     VariationField,
@@ -31,13 +31,28 @@ from .models import LagrangianModel, build_model
 
 @dataclass(frozen=True)
 class ManufacturedCase:
+    """A catalog case on the n^d grid of spacing 1/n: ``fn`` gives its degree-p
+    coefficients at the nodes, ``entropy_fn`` its entropy, if any, and
+    ``model`` the registry (name, params) the kind's residual reads, None for
+    closedness."""
+
     name: str
     kind: str          # divergence | closedness | entropy | euler-lagrange
     expected: str      # zero | order2 | floor
     floor: float
     tol: float
     description: str
-    build: object      # n -> what the kind's residual reads
+    d: int
+    p: int
+    fn: object
+    model: tuple | None = None
+    entropy_fn: object = None
+
+    def build(self, n):
+        """(model, grid) at n nodes an axis, or the grid alone for closedness."""
+        grid = GridField.from_function(self.fn, self.d, self.p, (n,) * self.d,
+                                       (1.0 / n,) * self.d, entropy_fn=self.entropy_fn)
+        return grid if self.model is None else (build_model(*self.model), grid)
 
 
 # oblique propagation direction: an axis-aligned light-speed wave makes the
@@ -47,113 +62,84 @@ _WAVE_E = np.array([2.0, -1.0, 0.0]) / math.sqrt(5.0)
 _WAVE_B = np.cross(_WAVE_K, _WAVE_E)
 
 
-def _case_plane_wave(n):
-    model = build_model("maxwell-linear", {})
-
-    def fn(Y):
-        phase = Y[..., 1:] @ _WAVE_K - Y[..., 0]
-        amp = np.cos(phase)[..., None]
-        return em_to_coeffs(_WAVE_E * amp, _WAVE_B * amp)
-
-    grid = GridField.from_function(fn, 4, 2, (n,) * 4, (1.0 / n,) * 4)
-    return model, grid
+def _plane_wave(Y):
+    phase = Y[..., 1:] @ _WAVE_K - Y[..., 0]
+    amp = np.cos(phase)[..., None]
+    return em_to_coeffs(_WAVE_E * amp, _WAVE_B * amp)
 
 
-def _uniform_momentum(model, params, m, entropy_fn=None):
-    """Builder of a constant momentum form m in d = len(m), with an optional
-    entropy field, for the registry model with these parameters."""
+def _uniform_momentum(m):
+    """The constant momentum form m at every node."""
     A = momentum_to_coeffs(np.asarray(m, dtype=float))
-    d = A.size
-
-    def build(n):
-        grid = GridField.from_function(
-            lambda Y: np.broadcast_to(A, Y.shape[:-1] + (d,)).copy(), d, d - 1,
-            (n,) * d, (1.0 / n,) * d, entropy_fn=entropy_fn)
-        return build_model(model, params), grid
-
-    return build
+    return lambda Y: np.broadcast_to(A, Y.shape[:-1] + A.shape).copy()
 
 
-def _case_gas_imbalance(n):
+def _gas_imbalance(Y):
     # time-independent density with zero flux: closed, but the pressure
     # gradient in the spatial row of Div T never decays
-    model = build_model("gas", {})
-
-    def fn(Y):
-        rho = 1.0 + Y[..., 1] ** 2
-        m = np.stack([rho, np.zeros_like(rho)], axis=-1)
-        return momentum_to_coeffs(m)
-
-    grid = GridField.from_function(fn, 2, 1, (n, n), (1.0 / n, 1.0 / n))
-    return model, grid
+    rho = 1.0 + Y[..., 1] ** 2
+    return momentum_to_coeffs(np.stack([rho, np.zeros_like(rho)], axis=-1))
 
 
-def _case_closed_cubic(n):
+def _closed_cubic(Y):
     # gradient of a quartic potential: cubic components, so the central
     # difference is off by exactly h^2 in the third-derivative terms
-    def fn(Y):
-        x0, x1, x2 = Y[..., 0], Y[..., 1], Y[..., 2]
-        return np.stack([3 * x0 ** 2 * x1 + x2 ** 3,
-                         x0 ** 3 + 3 * x1 ** 2 * x2,
-                         x1 ** 3 + 3 * x2 ** 2 * x0], axis=-1)
-
-    return GridField.from_function(fn, 3, 1, (n,) * 3, (1.0 / n,) * 3)
+    x0, x1, x2 = Y[..., 0], Y[..., 1], Y[..., 2]
+    return np.stack([3 * x0 ** 2 * x1 + x2 ** 3,
+                     x0 ** 3 + 3 * x1 ** 2 * x2,
+                     x1 ** 3 + 3 * x2 ** 2 * x0], axis=-1)
 
 
-def _case_potential_flow(n):
+def _potential_flow(Y):
     # v = psi_x for psi = -2 t + 0.3 sin(2 x1 + t / 2), and Bernoulli's law
     # fixes rho = -psi_t - v^2 / 2 (g_rho = rho at gamma = 2), so that
     # dL/dm = (-v^2 / 2 - g_rho, v) is the spacetime gradient of psi
-    def fn(Y):
-        phase = 2.0 * Y[..., 1] + 0.5 * Y[..., 0]
-        v = 0.6 * np.cos(phase)
-        rho = 2.0 - 0.15 * np.cos(phase) - 0.5 * v * v
-        return momentum_to_coeffs(np.stack([rho, rho * v], axis=-1))
-
-    grid = GridField.from_function(fn, 2, 1, (n, n), (1.0 / n, 1.0 / n))
-    return build_model("gas", {}), grid
+    phase = 2.0 * Y[..., 1] + 0.5 * Y[..., 0]
+    v = 0.6 * np.cos(phase)
+    rho = 2.0 - 0.15 * np.cos(phase) - 0.5 * v * v
+    return momentum_to_coeffs(np.stack([rho, rho * v], axis=-1))
 
 
 CASES = {case.name: case for case in (
     ManufacturedCase(
         "maxwell-plane-wave", "divergence", "order2", 0.0, 0.0,
         "vacuum wave along (1, 2, 2) / 3 with E, B transverse; every row decays at order 2",
-        _case_plane_wave),
+        4, 2, _plane_wave, ("maxwell-linear", {})),
     ManufacturedCase(
         "uniform-gas", "divergence", "zero", 0.0, 1e-12,
         "constant (rho, q): all differences vanish identically",
-        _uniform_momentum("gas", {}, [1.3, 0.4], lambda Y: np.full(Y.shape[:-1], 0.2))),
+        2, 1, _uniform_momentum([1.3, 0.4]), ("gas", {}), lambda Y: np.full(Y.shape[:-1], 0.2)),
     ManufacturedCase(
         "uniform-relativistic", "divergence", "zero", 0.0, 1e-13,
         "constant timelike momentum: all differences vanish identically",
-        _uniform_momentum("relativistic", {}, [2.0, 0.3, -0.1, 0.2])),
+        4, 3, _uniform_momentum([2.0, 0.3, -0.1, 0.2]), ("relativistic", {})),
     ManufacturedCase(
         "gas-pressure-imbalance", "divergence", "floor", 0.5, 0.0,
         "rho = 1 + x1^2 at rest: closed but not a solution; spatial row holds the pressure gradient",
-        _case_gas_imbalance),
+        2, 1, _gas_imbalance, ("gas", {})),
     ManufacturedCase(
         "closed-cubic", "closedness", "order2", 0.0, 0.0,
         "gradient of a quartic potential; closedness residual is exactly h^2",
-        _case_closed_cubic),
+        3, 1, _closed_cubic),
     # entropy-coupled g so the nondegeneracy factor d p / d s is nonzero
     ManufacturedCase(
         "advected-entropy", "entropy", "order2", 0.0, 0.0,
         "s = sin(x - 0.7 t) riding on m = (1, 0.7): transport holds at order 2",
-        _uniform_momentum("gas", {"mu": 1.0}, [1.0, 0.7],
-                          lambda Y: np.sin(Y[..., 1] - 0.7 * Y[..., 0]))),
+        2, 1, _uniform_momentum([1.0, 0.7]), ("gas", {"mu": 1.0}),
+        lambda Y: np.sin(Y[..., 1] - 0.7 * Y[..., 0])),
     ManufacturedCase(
         "entropy-shear", "entropy", "floor", 0.9, 0.0,
         "s = x1 against m = (1, 1): transport residual is exactly 1",
-        _uniform_momentum("gas", {"mu": 1.0}, [1.0, 1.0], lambda Y: Y[..., 1])),
+        2, 1, _uniform_momentum([1.0, 1.0]), ("gas", {"mu": 1.0}), lambda Y: Y[..., 1]),
     ManufacturedCase(
         "potential-flow-uniform", "euler-lagrange", "zero", 0.0, 1e-12,
         "constant m = (1, 1): dL/dm is constant, so div G vanishes identically",
-        _uniform_momentum("gas", {}, [1.0, 1.0])),
+        2, 1, _uniform_momentum([1.0, 1.0]), ("gas", {})),
     ManufacturedCase(
         "potential-flow-unsteady", "euler-lagrange", "order2", 0.0, 0.0,
         "psi = -2 t + 0.3 sin(2 x1 + t / 2), rho from Bernoulli's law: dL/dm = grad psi, "
         "div G decays at order 2",
-        _case_potential_flow),
+        2, 1, _potential_flow, ("gas", {})),
 )}
 
 
@@ -189,8 +175,16 @@ def run_case(name, n):
     return report
 
 
+def _require_ladder(d, resolutions):
+    """Bound every level's n^d nodes before the first runs; the first too large ends it."""
+    for n in resolutions:
+        require_points(n ** d, "grid nodes")
+
+
 def case_refinement(name, resolutions):
     """Residuals across resolutions plus observed orders between neighbours."""
+    if name in CASES:
+        _require_ladder(CASES[name].d, resolutions)
     reports = [run_case(name, n) for n in resolutions]
     residuals = [r["residual"] for r in reports]
     return {"case": name, "resolutions": list(resolutions),
@@ -361,6 +355,7 @@ def variation_study(d, p, seed=0, levels=3, n0=8, eps0=0.01):
     if eps0 == 0 or not math.isfinite(eps0):
         raise ValueError(f"eps0 must be a nonzero finite number, not {eps0}")
     model = study_model(d, p, seed)
+    _require_ladder(d, (n0 * (1 << level) for level in range(levels)))
     field_fn = closed_trig_form(d, p, seed + 101)
     # nudge inward so margin nodes stay strictly outside despite rounding
     support = (2.0 / n0 + 1e-12, (n0 - 2.0) / n0 - 1e-12)

@@ -255,6 +255,11 @@ def _rho_derivative(f, rho, s):
     return derivative(f(Dual(np.asarray(rho, dtype=float) + 0.0, 1.0), s), like=rho)
 
 
+def _momentum_gradient(model):
+    """A momentum-form model's coefficient gradient: star dL/dm at m = star^-1 A."""
+    return lambda A, s: momentum_to_coeffs(model.m_gradient(coeffs_to_momentum(A), s))
+
+
 def _require_positive_density(rho):
     # NaN passes: it is not <= 0, and it stays visible in the residuals
     if np.any(np.asarray(rho) <= 0.0):
@@ -272,7 +277,7 @@ class GasModel(LagrangianModel):
 
     def __init__(self, n, internal_energy, name, params):
         self.internal_energy = internal_energy
-        super().__init__(name, n + 1, n, self._density, grad_fn=self._coeff_gradient,
+        super().__init__(name, n + 1, n, self._density, grad_fn=_momentum_gradient(self),
                          params=dict(params, n=n))
 
     def _density(self, comps, s):
@@ -283,9 +288,6 @@ class GasModel(LagrangianModel):
         for qi in m[1:]:
             q2 = q2 + qi * qi
         return q2 / (2.0 * rho) - self.internal_energy(rho, s)
-
-    def _coeff_gradient(self, A, s):
-        return momentum_to_coeffs(self.m_gradient(coeffs_to_momentum(A), s))
 
     def g_rho(self, rho, s):
         return _rho_derivative(self.internal_energy, rho, s)
@@ -339,7 +341,7 @@ class RelativisticModel(LagrangianModel):
         self.c = c
         self.Lam = minkowski_metric(c)
         self.Lam_inv = np.linalg.inv(self.Lam)
-        super().__init__(name, 4, 3, self._density, grad_fn=self._coeff_gradient,
+        super().__init__(name, 4, 3, self._density, grad_fn=_momentum_gradient(self),
                          metric_hint=self.Lam, params=dict(params or {}, c=c))
 
     def _density(self, comps, s):
@@ -351,9 +353,6 @@ class RelativisticModel(LagrangianModel):
         if np.any(value(r2) <= 0.0):
             raise LuminalStateError("momentum is not strictly sub-luminal")
         return self.profile(dualnum.sqrt(r2), s)
-
-    def _coeff_gradient(self, A, s):
-        return momentum_to_coeffs(self.m_gradient(coeffs_to_momentum(A), s))
 
     def rho_sq(self, m):
         """rho^2 = c^2 m_0^2 - |m_1..3|^2, positive inside the light cone."""

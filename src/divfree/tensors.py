@@ -57,13 +57,9 @@ def _assembly_table(d, p):
         for j in range(d):
             terms = []
             for K in lower.tuples:
-                slot_i, sign_i = basis.slot((i,) + K)
-                if sign_i == 0:
-                    continue
-                slot_j, sign_j = basis.slot((j,) + K)
-                if sign_j == 0:
-                    continue
-                terms.append((slot_i, slot_j, sign_i * sign_j))
+                (slot_i, sign_i), (slot_j, sign_j) = basis.slot((i,) + K), basis.slot((j,) + K)
+                if sign_i and sign_j:
+                    terms.append((slot_i, slot_j, sign_i * sign_j))
             table[(i, j)] = tuple(terms)
     return table
 

@@ -278,6 +278,54 @@ def test_a_far_csv_index_costs_the_files_memory_not_the_grids(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+def test_a_far_4d_csv_index_names_its_first_missing_cell(tmp_path, capsys):
+    # the implied 100001^4 grid has more cells than a flat numpy index holds
+    path = tmp_path / "field.csv"
+    path.write_text("i0,i1,i2,i3,A_0,A_1,A_2,A_3\n0,0,0,0,1,1,1,1\n"
+                    "100000,100000,100000,100000,1,1,1,1\n")
+    tracemalloc.start()
+    try:
+        line = assert_one_error_line(capsys, ["verify", "--field", str(path), "--d", "4",
+                                              "--p", "1", "--spacing", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line == "error: missing cell (0, 0, 0, 1) in field.csv"
+    assert peak < 1 << 20
+
+
+OVERSIZED = {
+    "variation-d12": ["variation", "--d", "12", "--p", "1", "-n", "8"],
+    "variation-ladder": ["variation", "--d", "2", "--p", "1", "-n", "8", "--levels", "40"],
+    "plane-wave-n1000": ["verify", "--manufactured", "maxwell-plane-wave", "-n", "1000"],
+    "invariance-states": ["invariance", "--model", "iso-p1", "--n-states", "10000000000"],
+    "jump-coarse": ["jump", "--m-left", "[2.0,0.3,-0.1,0.2]", "--coarse", "10000000000"],
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_an_oversized_generated_size_is_refused_before_it_is_allocated(capsys, case):
+    # each would ask numpy for 128 MiB (the ladder's 4096^2 level) to 29 TiB
+    tracemalloc.start()
+    try:
+        line = assert_one_error_line(capsys, OVERSIZED[case])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line.endswith(" exceed the 4194304 one call may generate")
+    assert peak < 4 << 20
+
+
+def test_a_ladder_bounds_its_finest_level_before_its_first_runs(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(divfree.manufactured, "run_case", lambda *args: runs.append(args))
+    monkeypatch.setattr(divfree.manufactured, "first_variation", lambda *args: runs.append(args))
+    for argv in (OVERSIZED["variation-ladder"],
+                 ["verify", "--manufactured", "closed-cubic", "--refine", "--levels", "40"]):
+        assert_one_error_line(capsys, argv)
+    assert runs == []
+
+
 @pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
 def test_malformed_grid_manifest_is_an_input_error(tmp_path, capsys, case):
     from divfree import GridField, save_grid

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divfree import em_to_coeffs
+from divfree import coeffs_to_em, em_to_coeffs
 from divfree.exterior import (
     PFormValue,
     canonicalize,
@@ -17,7 +17,7 @@ from divfree.exterior import (
     pullback_matrix,
 )
 
-from helpers import minor, pullback_coeffs, star
+from helpers import minor, pullback_coeffs, same_bits, star
 
 
 def pfaffian_2form(form):
@@ -199,6 +199,18 @@ def test_hodge_pairs_each_tuple_with_its_complement_in_reverse_order(d):
             assert hodge(d, p)[a] * hodge(d, d - p)[C - 1 - a] == (-1) ** (p * (d - p))
         A = rng.standard_normal((3, C))
         assert np.array_equal(star(star(A, d, p), d, d - p), (-1) ** (p * (d - p)) * A)
+
+
+def test_the_magnetic_slots_are_the_spatial_star():
+    # B_j (axis j + 1) goes to slot 5 - j, its complement among the spatial
+    # 2-tuples, with the sign of the degree-1 star in space
+    rng = np.random.default_rng(11)
+    E, B = rng.standard_normal((2, 5, 3))
+    A = em_to_coeffs(E, B)
+    assert same_bits(A[..., 3:], star(B, 3, 1)) and same_bits(A[..., :3], -E)
+    assert all(same_bits(*pair) for pair in zip(coeffs_to_em(A), (E, B)))
+    A = rng.standard_normal((4, 6))
+    assert same_bits(em_to_coeffs(*coeffs_to_em(A)), A)
 
 
 def test_an_oversized_basis_is_refused_before_it_is_enumerated():

@@ -22,7 +22,6 @@ from divfree import fields
 from divfree.fields import (
     FlowLeftGridError,
     VariationField,
-    _cd,
     _family_residual,
     _interior,
     _left_state,
@@ -44,9 +43,10 @@ from divfree.manufactured import CASES, bump_variation, closed_trig_form, run_ca
 from divfree.models import GasState, RelativisticState
 from divfree.tensors import general_tensor_array
 
-from helpers import (IDENTITY_LADDERS, euler_lagrange_identity, euler_lagrange_rows_gather,
-                     family_residual_loop, limit_jump_states, normal_search_reference,
-                     pullback_coeffs, random_slab_grids, same_bits, slab_budget, slab_results)
+from helpers import (IDENTITY_LADDERS, cd, div_rows_reference, euler_lagrange_identity,
+                     euler_lagrange_rows_gather, family_residual_loop, limit_jump_states,
+                     normal_search_reference, pullback_coeffs, random_slab_grids, same_bits,
+                     slab_budget, slab_results)
 from test_acceptance import VARIATION_COMBOS, VARIATION_LADDER, VARIATION_SEEDS
 
 # the largest share of criterion 05's error, |numeric - pairing|, that
@@ -265,19 +265,6 @@ def test_a_nan_cell_makes_the_residuals_nan():
     assert np.isnan(div_T_residual(build_model("gas"), g)).all()
 
 
-def _div_rows_reference(T_field, spacing, d):
-    """The per-term div_rows: each central difference a new array, summed
-    onto 0.0 and stacked; kept to pin the in-place stencils bitwise."""
-    dim = T_field.shape[-1]
-    rows = []
-    for i in range(dim):
-        acc = 0.0
-        for j in range(d):
-            acc = acc + _cd(T_field[..., i, j], j, spacing[j], d)
-        rows.append(acc)
-    return np.stack(rows, axis=-1)
-
-
 @pytest.mark.parametrize("d, p, dims", ((2, 1, (9, 13)), (3, 2, (6, 7, 8)),
                                         (4, 2, (4, 5, 6, 7))))
 def test_div_rows_are_the_per_term_sums_bit_for_bit(d, p, dims):
@@ -295,7 +282,7 @@ def test_div_rows_are_the_per_term_sums_bit_for_bit(d, p, dims):
     # the component-major view tensor_grid returns, and cell-major memory
     for field in (T, np.ascontiguousarray(T)):
         rows = div_rows(field, spacing, d)
-        assert same_bits(rows, _div_rows_reference(field, spacing, d))
+        assert same_bits(rows, div_rows_reference(field, spacing, d))
     assert rows[(1,) * d + (0,)] == 0.0 and not np.signbit(rows[(1,) * d + (0,)])
     assert np.isnan(rows[..., 1]).any() and not np.isnan(rows[..., 0]).any()
     grid.values[(1,) * d + (0,)] = np.nan
@@ -371,7 +358,7 @@ def test_mass_row_equals_the_closedness_residual():
     # d/dt rho + div q on the interior, from the momentum components
     g = _gas_momentum_grid(9)
     m = coeffs_to_momentum(g.values)
-    mass = sum(_cd(m[..., a], a, g.spacing[a], g.d) for a in range(g.d))
+    mass = sum(cd(m[..., a], a, g.spacing[a], g.d) for a in range(g.d))
     assert float(np.abs(mass).max()) == closedness_residual(g)
 
 
@@ -489,7 +476,7 @@ def test_first_variation_matches_the_full_grid_flow(d, p, n, crossing):
     # rounding can move in either sum
     T = _interior(tensor_grid(model, grid), d)
     scale = grid.cell_volume * sum(
-        float(np.sum(np.abs(T[..., i, j] * _cd(var.values[..., i], j, h, d))))
+        float(np.sum(np.abs(T[..., i, j] * cd(var.values[..., i], j, h, d))))
         for i in range(d) for j in range(d))
     assert abs(numeric - reference) <= 1e-12 * scale
 
@@ -692,7 +679,7 @@ def test_momentum_euler_lagrange_rows_are_the_curl_of_dL_dm(case):
     # law in differential form, on a solution or not
     model, grid = CASES[case].build(16)
     w = model.m_gradient(coeffs_to_momentum(grid.values), 0.0)
-    curl = _cd(w[..., 0], 1, grid.spacing[1], 2) - _cd(w[..., 1], 0, grid.spacing[0], 2)
+    curl = cd(w[..., 0], 1, grid.spacing[1], 2) - cd(w[..., 1], 0, grid.spacing[0], 2)
     rows = euler_lagrange_rows(model, grid)
     assert rows.shape == curl.shape + (1,)
     assert np.array_equal(rows[..., 0], curl)
@@ -704,13 +691,13 @@ def test_maxwell_euler_lagrange_rows_are_gauss_and_ampere():
     model, grid = random_slab_grids((6, 5, 4, 5), (3, 3))[0]
     D, H = model.material(*coeffs_to_em(grid.values), 0.0)
 
-    def cd(f, k, axis):
-        return _cd(f[..., k], axis, grid.spacing[axis], 4)
+    def dk(f, k, axis):
+        return cd(f[..., k], axis, grid.spacing[axis], 4)
 
-    want = [cd(D, 0, 1) + cd(D, 1, 2) + cd(D, 2, 3),
-            -cd(D, 0, 0) + cd(H, 2, 2) - cd(H, 1, 3),
-            -cd(D, 1, 0) - cd(H, 2, 1) + cd(H, 0, 3),
-            -cd(D, 2, 0) + cd(H, 1, 1) - cd(H, 0, 2)]
+    want = [dk(D, 0, 1) + dk(D, 1, 2) + dk(D, 2, 3),
+            -dk(D, 0, 0) + dk(H, 2, 2) - dk(H, 1, 3),
+            -dk(D, 1, 0) - dk(H, 2, 1) + dk(H, 0, 3),
+            -dk(D, 2, 0) + dk(H, 1, 1) - dk(H, 0, 2)]
     assert np.array_equal(euler_lagrange_rows(model, grid), np.stack(want, axis=-1))
 
 

@@ -26,7 +26,8 @@ from divfree.models import (
     model_from_expression,
 )
 
-from helpers import energy_density, rel_gap, sampled_states, typed_state, ultrarelativistic
+from helpers import (energy_density, rel_gap, same_bits, sampled_states, star, typed_state,
+                     ultrarelativistic)
 
 BUILTIN = ("iso-p1", "minimal-surface", "gas", "gas-polytropic",
            "relativistic", "relativistic-powerlaw", "relativistic-limit",
@@ -187,6 +188,19 @@ def test_gradient_routes_agree(name):
     fd = finite_difference_gradient(model, A, s)
     assert rel_gap(closed, dual) < 1e-12
     assert rel_gap(closed, fd) < 1e-6
+
+
+@pytest.mark.parametrize("name", ("gas", "gas-polytropic", "relativistic",
+                                  "relativistic-powerlaw", "relativistic-limit"))
+def test_momentum_gradients_are_the_star_of_dL_dm(name):
+    # m = star^-1 A = (-1)^(d-1) star A on (d-1)-forms, and the coefficient
+    # gradient is star dL/dm, both through the test suite's own star
+    model = build_model(name)
+    A, s = sampled_states(model, 9, seed=4)
+    d = model.d
+    m = (-1) ** (d - 1) * star(A, d, d - 1)
+    assert same_bits(m, coeffs_to_momentum(A))
+    assert same_bits(model.gradient(A, s), star(model.m_gradient(m, s), d, 1))
 
 
 @pytest.mark.parametrize("name", BUILTIN)
