@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -43,78 +44,52 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _format_float(x):
-    if x != x:
-        return '"nan"'
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    return "%.17g" % x
+def _plain(obj):
+    """The report as str-keyed dicts, lists, bools, ints, floats, strings and
+    None, the one tree both renderers walk."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj if obj is None or isinstance(obj, (int, float)) else str(obj)
+
+
+def _json(v):
+    if isinstance(v, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + _json(x) for k, x in sorted(v.items())) + "}"
+    if isinstance(v, list):
+        return "[" + ",".join(map(_json, v)) + "]"
+    if isinstance(v, float):  # nan, inf and -inf as strings
+        return "%.17g" % v if math.isfinite(v) else f'"{v}"'
+    return json.dumps(v)
 
 
 def dumps_report(obj):
     """Deterministic JSON: sorted keys, compact separators, %.17g floats."""
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(json.dumps(str(k)) + ":" + dumps_report(v)
-                              for k, v in items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_report(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return dumps_report(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+    return _json(_plain(obj))
 
 
-def _pretty(obj, indent=0):
-    pad = "  " * indent
-    lines = []
-    if isinstance(obj, dict):
-        for k in sorted(obj, key=str):
-            v = obj[k]
-            if isinstance(v, (dict, list, tuple, np.ndarray)) and not _is_flat(v):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_pretty(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_scalar_text(v)}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, v in enumerate(seq):
-            if isinstance(v, (dict, list, tuple)) and not _is_flat(v):
-                lines.append(f"{pad}[{i}]")
-                lines.extend(_pretty(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar_text(v)}")
-    else:
-        lines.append(pad + _scalar_text(obj))
-    return lines
-
-
-def _is_flat(v):
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    return (isinstance(v, (list, tuple))
-            and all(isinstance(x, (int, float, np.integer, np.floating)) for x in v))
-
-
-def _scalar_text(v):
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_scalar_text(x) for x in v) + "]"
-    if isinstance(v, (bool, np.bool_)):
+def _text(v):
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_text, v)) + "]"
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return "%.10g" % float(v)
-    return str(v)
+    return "%.10g" % v if isinstance(v, float) else str(v)
+
+
+def _pretty(v, pad=""):
+    """Lines of a plain tree: a dict, or a list of more than numbers, opens
+    a block under its key or [index]; anything else is one line."""
+    keyed = isinstance(v, dict)
+    for k, x in sorted(v.items()) if keyed else enumerate(v):
+        if isinstance(x, dict) or (isinstance(x, list) and not all(
+                isinstance(y, (int, float)) for y in x)):
+            yield pad + (f"{k}:" if keyed else f"[{k}]")
+            yield from _pretty(x, pad + "  ")
+        else:
+            yield pad + (f"{k}: " if keyed else "- ") + _text(x)
 
 
 def parse_params(text):
@@ -192,7 +167,7 @@ def _emit(args, report):
     if args.output == "json":
         text = dumps_report(report) + "\n"
     else:
-        text = "\n".join(_pretty(report)) + "\n"
+        text = "\n".join(_pretty(_plain(report))) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -248,8 +223,8 @@ def cmd_verify(args):
         if args.refine:
             if args.levels < 2:
                 raise ValueError(f"--levels must be at least 2, not {args.levels}")
-            ns = [args.n * (1 << k) for k in range(args.levels)]
-            report = case_refinement(args.manufactured, ns)
+            report = case_refinement(args.manufactured,
+                                     (args.n * (1 << k) for k in range(args.levels)))
             case, residuals = report["reports"][0], report["residuals"]
         else:
             report = run_case(args.manufactured, args.n)

@@ -34,13 +34,13 @@ class ManufacturedCase:
     """A catalog case on the n^d grid of spacing 1/n: ``fn`` gives its degree-p
     coefficients at the nodes, ``entropy_fn`` its entropy, if any, and
     ``model`` the registry (name, params) the kind's residual reads, None for
-    closedness."""
+    closedness.  ``bound`` is the floor of a floor case, the tol of a zero
+    case and None for an order-2 case."""
 
     name: str
     kind: str          # divergence | closedness | entropy | euler-lagrange
     expected: str      # zero | order2 | floor
-    floor: float
-    tol: float
+    bound: float | None
     description: str
     d: int
     p: int
@@ -49,10 +49,10 @@ class ManufacturedCase:
     entropy_fn: object = None
 
     def build(self, n):
-        """(model, grid) at n nodes an axis, or the grid alone for closedness."""
+        """(model, grid) at n nodes an axis; the model is None for closedness."""
         grid = GridField.from_function(self.fn, self.d, self.p, (n,) * self.d,
                                        (1.0 / n,) * self.d, entropy_fn=self.entropy_fn)
-        return grid if self.model is None else (build_model(*self.model), grid)
+        return None if self.model is None else build_model(*self.model), grid
 
 
 # oblique propagation direction: an axis-aligned light-speed wave makes the
@@ -102,41 +102,41 @@ def _potential_flow(Y):
 
 CASES = {case.name: case for case in (
     ManufacturedCase(
-        "maxwell-plane-wave", "divergence", "order2", 0.0, 0.0,
+        "maxwell-plane-wave", "divergence", "order2", None,
         "vacuum wave along (1, 2, 2) / 3 with E, B transverse; every row decays at order 2",
         4, 2, _plane_wave, ("maxwell-linear", {})),
     ManufacturedCase(
-        "uniform-gas", "divergence", "zero", 0.0, 1e-12,
+        "uniform-gas", "divergence", "zero", 1e-12,
         "constant (rho, q): all differences vanish identically",
         2, 1, _uniform_momentum([1.3, 0.4]), ("gas", {}), lambda Y: np.full(Y.shape[:-1], 0.2)),
     ManufacturedCase(
-        "uniform-relativistic", "divergence", "zero", 0.0, 1e-13,
+        "uniform-relativistic", "divergence", "zero", 1e-13,
         "constant timelike momentum: all differences vanish identically",
         4, 3, _uniform_momentum([2.0, 0.3, -0.1, 0.2]), ("relativistic", {})),
     ManufacturedCase(
-        "gas-pressure-imbalance", "divergence", "floor", 0.5, 0.0,
+        "gas-pressure-imbalance", "divergence", "floor", 0.5,
         "rho = 1 + x1^2 at rest: closed but not a solution; spatial row holds the pressure gradient",
         2, 1, _gas_imbalance, ("gas", {})),
     ManufacturedCase(
-        "closed-cubic", "closedness", "order2", 0.0, 0.0,
+        "closed-cubic", "closedness", "order2", None,
         "gradient of a quartic potential; closedness residual is exactly h^2",
         3, 1, _closed_cubic),
     # entropy-coupled g so the nondegeneracy factor d p / d s is nonzero
     ManufacturedCase(
-        "advected-entropy", "entropy", "order2", 0.0, 0.0,
+        "advected-entropy", "entropy", "order2", None,
         "s = sin(x - 0.7 t) riding on m = (1, 0.7): transport holds at order 2",
         2, 1, _uniform_momentum([1.0, 0.7]), ("gas", {"mu": 1.0}),
         lambda Y: np.sin(Y[..., 1] - 0.7 * Y[..., 0])),
     ManufacturedCase(
-        "entropy-shear", "entropy", "floor", 0.9, 0.0,
+        "entropy-shear", "entropy", "floor", 0.9,
         "s = x1 against m = (1, 1): transport residual is exactly 1",
         2, 1, _uniform_momentum([1.0, 1.0]), ("gas", {"mu": 1.0}), lambda Y: Y[..., 1]),
     ManufacturedCase(
-        "potential-flow-uniform", "euler-lagrange", "zero", 0.0, 1e-12,
+        "potential-flow-uniform", "euler-lagrange", "zero", 1e-12,
         "constant m = (1, 1): dL/dm is constant, so div G vanishes identically",
         2, 1, _uniform_momentum([1.0, 1.0]), ("gas", {})),
     ManufacturedCase(
-        "potential-flow-unsteady", "euler-lagrange", "order2", 0.0, 0.0,
+        "potential-flow-unsteady", "euler-lagrange", "order2", None,
         "psi = -2 t + 0.3 sin(2 x1 + t / 2), rho from Bernoulli's law: dL/dm = grad psi, "
         "div G decays at order 2",
         2, 1, _potential_flow, ("gas", {})),
@@ -147,47 +147,51 @@ def list_cases():
     return sorted(CASES)
 
 
-def run_case(name, n):
-    """Evaluate one catalog case at resolution n and report its residuals."""
+def _case(name):
+    """The catalog case of this name; a KeyError names the choices."""
     if name not in CASES:
         raise KeyError(f"unknown case {name!r}; choices: {', '.join(list_cases())}")
+    return CASES[name]
+
+
+def run_case(name, n):
+    """Evaluate one catalog case at resolution n and report its residuals."""
+    case = _case(name)
     if n < 3:
         raise ValueError("need at least 3 nodes per axis for interior differences")
-    case = CASES[name]
-    built = case.build(n)
+    model, grid = case.build(n)
     report = {"case": name, "kind": case.kind, "n": n,
               "expected": case.expected, "description": case.description}
-    if case.expected == "floor":
-        report["floor"] = case.floor
-    if case.expected == "zero":
-        report["tol"] = case.tol
-    if case.kind in ("divergence", "euler-lagrange"):
-        model, grid = built
+    if case.bound is not None:
+        report["floor" if case.expected == "floor" else "tol"] = case.bound
+    if case.kind == "closedness":
+        report["residual"] = float(closedness_residual(grid))
+    elif case.kind == "entropy":
+        report.update(entropy_transport_residual(model, grid))
+    else:
         rows = (div_T_residual(model, grid) if case.kind == "divergence" else
                 np.abs(euler_lagrange_rows(model, grid)).max(axis=tuple(range(grid.d))))
         report["rows"] = [float(r) for r in rows]
         report["residual"] = float(rows.max())
-    elif case.kind == "closedness":
-        report["residual"] = float(closedness_residual(built))
-    elif case.kind == "entropy":
-        model, grid = built
-        report.update(entropy_transport_residual(model, grid))
     return report
 
 
-def _require_ladder(d, resolutions):
-    """Bound every level's n^d nodes before the first runs; the first too large ends it."""
+def _ladder(d, resolutions):
+    """The levels as a list, each level's n^d nodes bounded as it is read:
+    the first too large ends the ladder before a later level is formed."""
+    levels = []
     for n in resolutions:
         require_points(n ** d, "grid nodes")
+        levels.append(n)
+    return levels
 
 
 def case_refinement(name, resolutions):
     """Residuals across resolutions plus observed orders between neighbours."""
-    if name in CASES:
-        _require_ladder(CASES[name].d, resolutions)
-    reports = [run_case(name, n) for n in resolutions]
+    ns = _ladder(_case(name).d, resolutions)
+    reports = [run_case(name, n) for n in ns]
     residuals = [r["residual"] for r in reports]
-    return {"case": name, "resolutions": list(resolutions),
+    return {"case": name, "resolutions": ns,
             "residuals": residuals, "orders": observed_orders(residuals), "reports": reports}
 
 
@@ -355,13 +359,12 @@ def variation_study(d, p, seed=0, levels=3, n0=8, eps0=0.01):
     if eps0 == 0 or not math.isfinite(eps0):
         raise ValueError(f"eps0 must be a nonzero finite number, not {eps0}")
     model = study_model(d, p, seed)
-    _require_ladder(d, (n0 * (1 << level) for level in range(levels)))
+    ns = _ladder(d, (n0 * (1 << level) for level in range(levels)))
     field_fn = closed_trig_form(d, p, seed + 101)
     # nudge inward so margin nodes stay strictly outside despite rounding
     support = (2.0 / n0 + 1e-12, (n0 - 2.0) / n0 - 1e-12)
     rows = []
-    for level in range(levels):
-        n = n0 * (1 << level)
+    for level, n in enumerate(ns):
         eps = eps0 / (1 << level)
         dims = (n,) * d
         spacing = (1.0 / n,) * d

@@ -350,6 +350,43 @@ def rel_gap(a, b):
     return float(np.abs(a - b).max() / scale)
 
 
+def pretty_reference(report):
+    """The ``--output pretty`` text of a report read back from its JSON:
+    the strings "nan", "inf" and "-inf" become floats again; a dict, or a
+    list holding anything but numbers, opens a block indented two spaces
+    under its ``key:`` or ``[index]`` line; anything else is ``key: text``
+    or ``- text``, floats to 10 significant digits."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [plain(x) for x in v]
+        return float(v) if v in ("nan", "inf", "-inf") else v
+
+    def block(v):
+        return isinstance(v, dict) or (isinstance(v, list) and not all(
+            isinstance(x, (int, float)) for x in v))
+
+    def text(v):
+        if isinstance(v, list):
+            return "[" + ", ".join(map(text, v)) + "]"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return "%.10g" % v if isinstance(v, float) else str(v)
+
+    def lines(v, pad):
+        items = sorted(v.items()) if isinstance(v, dict) else enumerate(v)
+        for k, x in items:
+            head = f"{k}:" if isinstance(v, dict) else f"[{k}]"
+            if block(x):
+                yield pad + head
+                yield from lines(x, pad + "  ")
+            else:
+                yield pad + (f"{k}: " if isinstance(v, dict) else "- ") + text(x)
+
+    return "".join(line + "\n" for line in lines(plain(report), ""))
+
+
 def run_cli_process(argv):
     """``python -m divfree.cli argv`` in a child process that imports the
     same divfree as the tests, wherever pytest found it."""

@@ -16,7 +16,7 @@ from divfree.manufactured import run_case
 from divfree.cli import dumps_report, main, parse_params, _parse_state
 from divfree.models import EMState, GasState, RelativisticState
 from divfree.exterior import PFormValue
-from helpers import run_cli_process
+from helpers import pretty_reference, run_cli_process
 
 
 def run_cli(capsys, argv):
@@ -300,6 +300,8 @@ OVERSIZED = {
     "plane-wave-n1000": ["verify", "--manufactured", "maxwell-plane-wave", "-n", "1000"],
     "invariance-states": ["invariance", "--model", "iso-p1", "--n-states", "10000000000"],
     "jump-coarse": ["jump", "--m-left", "[2.0,0.3,-0.1,0.2]", "--coarse", "10000000000"],
+    # 20000 levels: a list of every level's n would take 27 MB before the bound
+    "refine-levels": ["verify", "--manufactured", "closed-cubic", "--refine", "--levels", "20000"],
 }
 
 
@@ -684,6 +686,35 @@ def test_pretty_output_renders_scalars(capsys):
                                  "--output", "pretty"])
     assert code == 0
     assert "pressure: 0.5" in out
+
+
+PRETTY_ARGVS = {
+    "models": ["models"],
+    "invariance": ["invariance", "--model", "maxwell-lorentz", "--metric", "minkowski",
+                   "--n-states", "16"],
+    "refine": ["verify", "--manufactured", "maxwell-plane-wave", "--refine", "-n", "8",
+               "--levels", "2"],
+    "jump": ["jump", "--m-left", "[2.0, 0.3, -0.1, 0.2]"],
+}
+
+
+@pytest.mark.parametrize("case", [*PRETTY_ARGVS, "nan-field"])
+def test_pretty_output_is_the_json_report_rendered(tmp_path, capsys, case):
+    # nested dicts and lists, flat number lists, bools, None and NaN: the
+    # pretty text is the JSON report's own tree, floats to 10 digits
+    if case == "nan-field":
+        from divfree import GridField, save_grid
+
+        g = GridField.from_function(lambda Y: np.full(Y.shape[:-1] + (2,), [-0.4, 1.3]),
+                                    2, 1, (9, 9), (0.125, 0.125))
+        g.values[4, 4] = np.nan
+        argv = ["verify", "--field", str(save_grid(g, tmp_path / "nan.json")), "--model", "gas"]
+    else:
+        argv = PRETTY_ARGVS[case]
+    code, out = run_cli(capsys, argv)
+    code_pretty, pretty = run_cli(capsys, argv + ["--output", "pretty"])
+    assert code_pretty == code
+    assert pretty == pretty_reference(json.loads(out))
 
 
 def test_parse_params():

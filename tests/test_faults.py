@@ -124,6 +124,32 @@ def test_flipped_assembly_sign_breaks_the_block_forms(monkeypatch):
         table.cache_clear()
 
 
+def test_every_flipped_assembly_term_breaks_the_legendre_hodge_duality(monkeypatch):
+    # T reads _assembly_table at degree p and the dual's tensor at d - p; at
+    # (2, 1) both are one table, so an off-diagonal flip negates T(0, 1) and
+    # T(1, 0) on both sides and the duality still holds (the block forms
+    # catch the flip on gas).  Every other single flip must break it
+    real = divfree.tensors._assembly_table
+    duality = test_tensors.test_the_legendre_hodge_dual_has_minus_the_tensor
+    missed, flips = [], 0
+    for d in (2, 3, 4):
+        for p in range(1, d):
+            assert not fails(duality, d, p)
+            table = real(d, p)
+            for key, terms in table.items():
+                for t, (slot_i, slot_j, sign) in enumerate(terms):
+                    flipped = {**table, key: terms[:t] + ((slot_i, slot_j, -sign),) + terms[t + 1:]}
+                    with monkeypatch.context() as patch:
+                        patch.setattr(divfree.tensors, "_assembly_table",
+                                      lambda *dp, at=(d, p), flipped=flipped:
+                                      flipped if dp == at else real(*dp))
+                        if not fails(duality, d, p):
+                            missed.append((d, p, key))
+                    flips += 1
+    assert flips == 101
+    assert missed == [(2, 1, (0, 1)), (2, 1, (1, 0))]
+
+
 def test_negated_magnetic_slot_breaks_the_maxwell_block_form(monkeypatch):
     # E . B enters maxwell-lorentz, so reading B_1 with the wrong sign shows
     case = seeded("maxwell-lorentz")
