@@ -403,11 +403,12 @@ def main(argv=None):
         # warnings about them would only be noise on stderr
         with np.errstate(all="ignore"):
             report, failed = args.handler(args)
+        report["command"] = args.command
+        # an --out path that cannot be written is an OSError here
+        _emit(args, report)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    report["command"] = args.command
-    _emit(args, report)
     return 2 if failed else 0
 
 

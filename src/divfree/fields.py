@@ -66,6 +66,12 @@ def _node_coordinates(dims, spacing, origin):
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
 
 
+def _indexed_coordinates(spacing, origin, index):
+    """Coordinates (N, d) of the nodes at a tuple of d index arrays, the bits
+    of ``_node_coordinates`` at those nodes."""
+    return np.stack([o + h * i for o, h, i in zip(origin, spacing, index)], -1)
+
+
 @dataclass
 class GridField:
     """Degree-p coefficients sampled on a uniform node grid.
@@ -270,6 +276,15 @@ def _require_interior(grid):
         raise ValueError("need at least 3 nodes per axis for interior differences")
 
 
+def _sub_grid(grid, box):
+    """The nodes of a box, one slice start:stop per leading axis, as a grid of its own."""
+    box = box + tuple(slice(0, n) for n in grid.dims[len(box):])
+    return replace(grid, dims=tuple(b.stop - b.start for b in box), values=grid.values[box],
+                   origin=tuple(o + b.start * h for o, b, h in
+                                zip(grid.origin, box, grid.spacing)),
+                   entropy=None if grid.entropy is None else grid.entropy[box])
+
+
 _SLAB_BYTES = 32 << 20
 
 
@@ -280,10 +295,7 @@ def _slabs(grid):
     _require_interior(grid)
     n0, width = grid.dims[0], max(1, _SLAB_BYTES // (8 * grid.d ** 2 * math.prod(grid.dims[1:])))
     for a in range(0, n0 - 2, width):
-        rows = slice(a, min(a + width, n0 - 2) + 2)
-        yield a, replace(grid, dims=(rows.stop - a,) + grid.dims[1:], values=grid.values[rows],
-                         origin=(grid.origin[0] + a * grid.spacing[0],) + grid.origin[1:],
-                         entropy=None if grid.entropy is None else grid.entropy[rows])
+        yield a, _sub_grid(grid, (slice(a, min(a + width, n0 - 2) + 2),))
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +396,20 @@ class VariationField:
     ``_BLOCK_NODES`` nodes so that no whole-grid Jacobian is held, gives
     ``values``, which must vanish on the two nodes nearest every boundary,
     and ``moving``, the nodes where the field or its Jacobian is nonzero.
+
+    ``support``, when given, is an open interval (lo, hi) of coordinates, the
+    same on every axis, outside whose box ``func_jac`` is exactly zero in
+    value and in Jacobian.  The pass then samples only the nodes inside that
+    box and one more on each side of it, and every other node is zero; a
+    sampled node outside the box that is not zero raises ValueError.  Without
+    a support every node is sampled.
     """
 
     dims: tuple
     spacing: tuple
     origin: tuple
     func_jac: object
+    support: tuple | None = None
 
     def __post_init__(self):
         self.dims, self.spacing, self.origin = _grid_frame(
@@ -399,25 +419,43 @@ class VariationField:
         v, J = self.func_jac(Y)
         return np.asarray(v, dtype=float), np.asarray(J, dtype=float)
 
+    def _sampled_box(self):
+        """Per axis, the slice of the nodes that the pass samples."""
+        if self.support is None:
+            return tuple(slice(0, n) for n in self.dims)
+        lo, hi = self.support
+        box = []
+        for n, h, o in zip(self.dims, self.spacing, self.origin):
+            x = o + h * np.arange(n)
+            inside = np.flatnonzero((x > lo) & (x < hi))
+            box.append(slice(max(inside[0] - 1, 0), min(inside[-1] + 2, n)) if len(inside)
+                       else slice(0, 0))
+        return tuple(box)
+
     @cached_property
     def _samples(self):
-        d, n = len(self.dims), math.prod(self.dims)
-        values, moving = np.empty((n, d)), np.empty(n, dtype=bool)
+        d = len(self.dims)
+        values, moving = np.zeros(self.dims + (d,)), np.zeros(self.dims, dtype=bool)
+        box = self._sampled_box()
+        shape = tuple(b.stop - b.start for b in box)
+        n = math.prod(shape)
         for a in range(0, n, _BLOCK_NODES):
-            nodes = slice(a, min(a + _BLOCK_NODES, n))
-            index = np.unravel_index(np.arange(nodes.start, nodes.stop), self.dims)
-            Y = np.stack([o + h * i for o, h, i in zip(self.origin, self.spacing, index)], -1)
+            index = np.unravel_index(np.arange(a, min(a + _BLOCK_NODES, n)), shape)
+            index = tuple(b.start + i for b, i in zip(box, index))
+            Y = _indexed_coordinates(self.spacing, self.origin, index)
             v, J = self.value_and_jacobian(Y)
             if v.shape != Y.shape:
                 raise ValueError(f"values must have shape {self.dims + (d,)}")
-            values[nodes] = v
-            moving[nodes] = np.any(v != 0.0, axis=-1) | np.any(J != 0.0, axis=(-2, -1))
-        values = values.reshape(self.dims + (d,))
+            values[index] = v
+            moving[index] = moves = np.any(v != 0.0, axis=-1) | np.any(J != 0.0, axis=(-2, -1))
+            if self.support is not None and np.any(
+                    moves & ~np.all((Y > self.support[0]) & (Y < self.support[1]), axis=-1)):
+                raise ValueError(f"the variation is not zero outside its support {self.support}")
         for a in range(d):
             rows = np.moveaxis(values, a, 0)
             if rows[:2].any() or rows[self.dims[a] - 2:].any():
                 raise ValueError("variation must vanish on a 2-node margin")
-        return values, moving.reshape(self.dims)
+        return values, moving
 
     @property
     def values(self):
@@ -469,6 +507,17 @@ def _require_same_grid(grid, var):
                          "equal dims, spacing and origin")
 
 
+def _pairing_box(var):
+    """The node box where a pairing of T with ``var`` can be nonzero, one slice
+    per axis: the bounding box of the nodes where xi is nonzero, grown by one
+    node, or None if xi is zero at every node.  The 2-node margin of
+    ``var.values`` keeps the box inside the interior nodes."""
+    index = np.nonzero(np.any(var.values != 0.0, axis=-1))
+    if not len(index[0]):
+        return None
+    return tuple(slice(int(i.min()) - 1, int(i.max()) + 2) for i in index)
+
+
 def first_variation(model, grid, var, eps):
     """Numeric flow derivative of the discretized functional next to the
     tensor pairing it should equal.
@@ -491,13 +540,18 @@ def first_variation(model, grid, var, eps):
     the flowed Jacobian G (``inverse_pullback_coeffs``), with no inverse
     formed.  A flow map preserves orientation, so a det G that is not
     positive, or not a number, raises ValueError.
+
+    T is assembled only on ``_pairing_box(var)``, the one box where d_j xi_i
+    can be nonzero, so a state that the model refuses outside it is never
+    evaluated.  A grid with a non-finite coefficient or entropy anywhere
+    (``GridField.nonfinite_cells``) has a NaN pairing.
     """
     _require_same_grid(grid, var)
     d = grid.d
-    moving = var.moving.reshape(-1)
-    Y = grid.coordinates().reshape(-1, d)[moving]
-    A = grid.values.reshape(-1, grid.n_coeffs)[moving]
-    s = grid.entropy.reshape(-1)[moving] if grid.entropy is not None else 0.0
+    index = np.nonzero(var.moving)
+    Y = _indexed_coordinates(grid.spacing, grid.origin, index)
+    A = grid.values[index]
+    s = grid.entropy[index] if grid.entropy is not None else 0.0
     vol = grid.cell_volume
 
     lo = np.asarray(grid.origin)
@@ -517,24 +571,49 @@ def first_variation(model, grid, var, eps):
 
     numeric = (functional(eps) - functional(-eps)) / (2.0 * eps)
 
-    T_int = _interior(tensor_grid(model, grid), d)
-    pairing = 0.0
-    for i in range(d):
-        # one component's d rows d_j xi_i at a time, so no more than d
-        # interior arrays are held beside T
-        dxi = _divergence([var.values[..., i]], [[(j, 0, 1)] for j in range(d)], grid.spacing, d)
-        for j in range(d):
-            pairing -= float(np.sum(T_int[..., i, j] * dxi[j]))
-    return numeric, pairing * vol
+    # the products off the box are 0.0, so summing a whole-interior array
+    # that holds the box's products in place adds the same nonzero terms in
+    # the same order as the whole-grid products
+    box, pairing = _pairing_box(var), 0.0
+    products = np.zeros(tuple(n - 2 for n in grid.dims))
+    if box is not None:
+        T = tensor_grid(model, _sub_grid(grid, box))
+        # the box with a one-node halo, and the box counted from the first
+        # interior node
+        halo = tuple(slice(b.start - 1, b.stop + 1) for b in box)
+        at = tuple(slice(b.start - 1, b.stop - 1) for b in box)
+        for i in range(d):
+            # one component's d rows d_j xi_i at a time
+            dxi = _divergence([var.values[halo + (i,)]], [[(j, 0, 1)] for j in range(d)],
+                              grid.spacing, d)
+            for j in range(d):
+                np.multiply(T[..., i, j], dxi[j], out=products[at])
+                pairing -= float(np.sum(products))
+    return numeric, math.nan if grid.nonfinite_cells() else pairing * vol
 
 
 def divergence_pairing(model, grid, var):
     """+ sum_cells xi_i (Div T)_i vol, the summation-by-parts partner of the
-    tensor pairing; equal to it exactly for margin-supported variations."""
+    tensor pairing; equal to it exactly for margin-supported variations.
+
+    Div T is formed only inside ``_pairing_box(var)``, from T assembled on
+    that box, so a state that the model refuses outside it is never
+    evaluated.  A grid with a non-finite coefficient or entropy anywhere has
+    a NaN pairing."""
     _require_same_grid(grid, var)
-    xi_int = _interior(var.values, grid.d)
-    rows = div_rows(tensor_grid(model, grid), grid.spacing, grid.d)
-    return float(np.sum(xi_int * rows) * grid.cell_volume)
+    box = _pairing_box(var)
+    # component-major and zero off the box, the whole-grid rows' layout, so
+    # the product below sums in the whole-grid order
+    rows = np.zeros((grid.d,) + tuple(n - 2 for n in grid.dims))
+    if box is not None:
+        # the box's own interior, counted from the grid's first interior node
+        inner = tuple(slice(b.start, b.stop - 2) for b in box)
+        rows[(slice(None),) + inner] = np.moveaxis(
+            div_rows(tensor_grid(model, _sub_grid(grid, box)), grid.spacing, grid.d), -1, 0)
+    if grid.nonfinite_cells():
+        return math.nan
+    return float(np.sum(_interior(var.values, grid.d) * np.moveaxis(rows, 0, -1))
+                 * grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------

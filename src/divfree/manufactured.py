@@ -157,8 +157,7 @@ def _case(name):
 def run_case(name, n):
     """Evaluate one catalog case at resolution n and report its residuals."""
     case = _case(name)
-    if n < 3:
-        raise ValueError("need at least 3 nodes per axis for interior differences")
+    n, = _ladder(case.d, (n,))
     model, grid = case.build(n)
     report = {"case": name, "kind": case.kind, "n": n,
               "expected": case.expected, "description": case.description}
@@ -177,10 +176,13 @@ def run_case(name, n):
 
 
 def _ladder(d, resolutions):
-    """The levels as a list, each level's n^d nodes bounded as it is read:
-    the first too large ends the ladder before a later level is formed."""
+    """The levels as a list, each level's n >= 3 and n^d nodes bounded as it
+    is read: the first out of bounds ends the ladder before a later level is
+    formed."""
     levels = []
     for n in resolutions:
+        if n < 3:
+            raise ValueError("need at least 3 nodes per axis for interior differences")
         require_points(n ** d, "grid nodes")
         levels.append(n)
     return levels
@@ -289,6 +291,9 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
         args = [2 * math.pi * (Y @ ks[i]) + phases[i] for i in range(d)]
         mods = [cs[i] + 0.5 * np.sin(arg) for i, arg in enumerate(args)]
         value = np.stack([prod * mod for mod in mods], axis=-1)
+        # off the support prod is +0.0 and a negative mod makes -0.0; adding
+        # +0.0 turns it into +0.0, the zero of a node left unsampled
+        value += 0.0
         prod_d = []
         for j, y in enumerate(ys):
             dp = 4.0 * (y * y * y) * ((a + b) - 2.0 * Y[..., j]) / mid
@@ -310,7 +315,7 @@ def bump_variation(d, dims, spacing, seed, support=(0.15, 0.7)):
                     col -= prod_dmod
         return value, np.moveaxis(jac, (0, 1), (-2, -1))
 
-    return VariationField(tuple(dims), spacing, (0.0,) * d, func_jac)
+    return VariationField(tuple(dims), spacing, (0.0,) * d, func_jac, support=(a, b))
 
 
 def study_model(d, p, seed):

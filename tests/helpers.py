@@ -11,12 +11,12 @@ import divfree
 from divfree.conventions import coeffs_to_em, coeffs_to_momentum, em_to_coeffs, momentum_to_coeffs
 from divfree.exterior import (PFormValue, _det_batch, exterior_derivative_table, form_basis,
                               hodge, pullback_matrix)
-from divfree.fields import (_LAM_GRID, _REFINE_ITERS, _interior, _require_interior,
+from divfree.fields import (_LAM_GRID, _REFINE_ITERS, _divergence, _interior, _require_interior,
                             closedness_residual, div_rows, div_T_residual,
                             entropy_transport_residual, euler_lagrange_rows,
                             poynting_residual, tensor_grid)
 from divfree.invariance import generator_defects
-from divfree.manufactured import closed_trig_form, study_model
+from divfree.manufactured import bump_variation, closed_trig_form, study_model
 from divfree.models import EMState, GasState, MaxwellModel, RelativisticState
 from divfree.tensors import general_tensor_array, symmetry_defect
 
@@ -303,6 +303,42 @@ def poynting_residual_whole(model, grid):
     for k in range(3):
         acc = acc + cd(ExH[..., k], 1 + k, grid.spacing[1 + k], grid.d)
     return acc
+
+
+def study_level(d, p, seed, n0, level):
+    """(model, grid, variation) of one level of variation_study(d, p, seed,
+    n0=n0): its density, closed field with entropy, and bump variation on the
+    support snapped to the coarsest grid's nodes."""
+    n = n0 << level
+    dims, spacing = (n,) * d, (1.0 / n,) * d
+    grid = divfree.GridField.from_function(
+        closed_trig_form(d, p, seed + 101), d, p, dims, spacing,
+        entropy_fn=lambda Y: np.sin(2 * math.pi * Y[..., 0]) * 0.5)
+    var = bump_variation(d, dims, spacing, seed + 202,
+                         support=(2.0 / n0 + 1e-12, (n0 - 2.0) / n0 - 1e-12))
+    return study_model(d, p, seed), grid, var
+
+
+# references for the two pairings of divfree.fields: T assembled on every
+# node and every product summed over the whole interior
+
+
+def tensor_pairing_whole(model, grid, var):
+    """first_variation's pairing, - sum T_ij d_j xi_i vol."""
+    d = grid.d
+    T_int = _interior(tensor_grid(model, grid), d)
+    pairing = 0.0
+    for i in range(d):
+        dxi = _divergence([var.values[..., i]], [[(j, 0, 1)] for j in range(d)], grid.spacing, d)
+        for j in range(d):
+            pairing -= float(np.sum(T_int[..., i, j] * dxi[j]))
+    return pairing * grid.cell_volume
+
+
+def divergence_pairing_whole(model, grid, var):
+    """divergence_pairing, + sum xi_i (Div T)_i vol."""
+    rows = div_rows(tensor_grid(model, grid), grid.spacing, grid.d)
+    return float(np.sum(_interior(var.values, grid.d) * rows) * grid.cell_volume)
 
 
 def slab_budget(grid, width):

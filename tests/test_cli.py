@@ -302,7 +302,12 @@ OVERSIZED = {
     "jump-coarse": ["jump", "--m-left", "[2.0,0.3,-0.1,0.2]", "--coarse", "10000000000"],
     # 20000 levels: a list of every level's n would take 27 MB before the bound
     "refine-levels": ["verify", "--manufactured", "closed-cubic", "--refine", "--levels", "20000"],
+    # the same list from a negative n: its levels are below the interior bound
+    "refine-negative-n": ["verify", "--manufactured", "closed-cubic", "--refine", "-n", "-1",
+                          "--levels", "20000"],
 }
+# the refusal that a case ends with where it is not the one-call bound's
+OVERSIZED_REFUSALS = {"refine-negative-n": "need at least 3 nodes per axis for interior differences"}
 
 
 @pytest.mark.parametrize("case", OVERSIZED)
@@ -314,8 +319,15 @@ def test_an_oversized_generated_size_is_refused_before_it_is_allocated(capsys, c
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert line.endswith(" exceed the 4194304 one call may generate")
+    assert line.endswith(OVERSIZED_REFUSALS.get(case, " exceed the 4194304 one call may generate"))
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("target", ("missing/report.json", "."))
+def test_an_out_path_that_cannot_be_written_is_an_input_error(tmp_path, capsys, target):
+    # a directory that does not exist, and a directory in place of a file
+    line = assert_one_error_line(capsys, ["models", "--out", str(tmp_path / target)])
+    assert str(tmp_path) in line
 
 
 def test_a_ladder_bounds_its_finest_level_before_its_first_runs(monkeypatch, capsys):

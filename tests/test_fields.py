@@ -43,10 +43,11 @@ from divfree.manufactured import CASES, bump_variation, closed_trig_form, run_ca
 from divfree.models import GasState, RelativisticState
 from divfree.tensors import general_tensor_array
 
-from helpers import (IDENTITY_LADDERS, cd, div_rows_reference, euler_lagrange_identity,
-                     euler_lagrange_rows_gather, family_residual_loop, limit_jump_states,
-                     normal_search_reference, pullback_coeffs, random_slab_grids, same_bits,
-                     slab_budget, slab_results)
+from helpers import (IDENTITY_LADDERS, cd, div_rows_reference, divergence_pairing_whole,
+                     euler_lagrange_identity, euler_lagrange_rows_gather, family_residual_loop,
+                     limit_jump_states, normal_search_reference, pullback_coeffs,
+                     random_slab_grids, same_bits, slab_budget, slab_results, study_level,
+                     tensor_pairing_whole)
 from test_acceptance import VARIATION_COMBOS, VARIATION_LADDER, VARIATION_SEEDS
 
 # the largest share of criterion 05's error, |numeric - pairing|, that
@@ -589,6 +590,81 @@ def test_a_variation_samples_its_grid_once():
                           | np.any(J != 0.0, axis=(-2, -1)))
     assert len(sampled) > 1 and max(len(Y) for Y in sampled) <= fields._BLOCK_NODES
     assert np.concatenate(sampled).tobytes() == nodes.reshape(-1, 3).tobytes()
+
+
+PAIRING_CASES = [(d, p, seed, False) for seed in (0, 3) for d, p in VARIATION_COMBOS]
+
+
+@pytest.mark.parametrize("d, p, seed, crossing", PAIRING_CASES + [(2, 1, 0, True)])
+def test_both_pairings_are_the_whole_grid_bits(d, p, seed, crossing):
+    # the finest level of each criterion 05 study; the crossing variation
+    # has nodes where xi is 0 between nodes where it is not
+    n0, levels = VARIATION_LADDER[d]
+    model, grid, var = study_level(d, p, seed, n0, levels - 1)
+    if crossing:
+        var = _crossing_variation(var)
+    _, pairing = first_variation(model, grid, var, eps=0.01)
+    assert same_bits(np.float64(pairing), np.float64(tensor_pairing_whole(model, grid, var)))
+    assert same_bits(np.float64(divergence_pairing(model, grid, var)),
+                     np.float64(divergence_pairing_whole(model, grid, var)))
+
+
+@pytest.mark.parametrize("pairing", (partial(first_variation, eps=0.01), divergence_pairing))
+def test_the_pairings_assemble_T_on_the_variation_box_only(monkeypatch, pairing):
+    # at d = 4, n = 16 xi is nonzero on the nodes 5..11 of each axis, those
+    # strictly inside (1/4, 3/4); grown by one node that is 9^4 = 6561 of
+    # the 16^4 = 65536 nodes
+    model, grid, var = study_level(4, 2, seed=0, n0=8, level=1)
+    nodes = []
+
+    def assemble(model, A, s=0.0):
+        nodes.append(math.prod(np.shape(A)[:-1]))
+        return general_tensor_array(model, A, s)
+
+    monkeypatch.setattr(fields, "general_tensor_array", assemble)
+    pairing(model, grid, var)
+    assert nodes == [9 ** 4]
+
+
+def test_a_bump_samples_only_its_support_box():
+    # d = 3, n = 48 on the support of n0 = 12: nodes 9..39 lie strictly
+    # inside (1/6, 5/6), and the pass samples 8..40, 33^3 nodes in 3 blocks
+    n = 48
+    bump = bump_variation(3, (n,) * 3, (1 / n,) * 3, seed=202,
+                          support=(2 / 12 + 1e-12, 10 / 12 - 1e-12))
+    sampled = []
+
+    def func_jac(Y):
+        sampled.append(Y.copy())
+        return bump.func_jac(Y)
+
+    var = VariationField(bump.dims, bump.spacing, bump.origin, func_jac, support=bump.support)
+    nodes = fields._node_coordinates(bump.dims, bump.spacing, bump.origin)
+    whole, J = bump.func_jac(nodes)
+    assert var.values.tobytes() == whole.tobytes()
+    assert np.array_equal(var.moving, np.any(whole != 0.0, axis=-1)
+                          | np.any(J != 0.0, axis=(-2, -1)))
+    assert len(sampled) == 3
+    assert np.concatenate(sampled).tobytes() == nodes[8:41, 8:41, 8:41].reshape(-1, 3).tobytes()
+
+
+def test_a_support_narrower_than_the_field_is_refused():
+    # the bump lives on (0.15, 0.7); node 4 of 16 lies outside (0.3, 0.7),
+    # next to it, and is sampled as nonzero
+    bump = bump_variation(2, (16, 16), (1 / 16, 1 / 16), seed=202)
+    var = VariationField(bump.dims, bump.spacing, bump.origin, bump.func_jac, support=(0.3, 0.7))
+    with pytest.raises(ValueError, match="not zero outside its support"):
+        var.values
+
+
+@pytest.mark.parametrize("channel, bad", (("values", np.nan), ("entropy", np.inf)))
+def test_a_non_finite_cell_off_the_support_makes_both_pairings_nan(channel, bad):
+    # node (1, 1) is interior but 2 nodes short of the variation's support
+    model, grid, var = study_level(2, 1, seed=0, n0=16, level=0)
+    getattr(grid, channel)[1, 1] = bad
+    numeric, pairing = first_variation(model, grid, var, eps=0.01)
+    assert math.isfinite(numeric) and math.isnan(pairing)
+    assert math.isnan(divergence_pairing(model, grid, var))
 
 
 @pytest.mark.parametrize("det", (0.0, -1.0, np.nan))
